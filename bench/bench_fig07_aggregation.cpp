@@ -7,9 +7,11 @@
 // dense), HiTopKComm best.
 //
 // A third panel measures the *functional* data path (real buffers moved on
-// this host, not simulated clocks): each converted collective runs under
-// the schedule engine and under the legacy inline loops, and the wall-time
-// ratio is the engine's win.
+// this host, not simulated clocks): each collective's wall time, and its
+// normalized throughput — the 16 rank buffers' bytes per second divided by
+// an in-process single-thread memcpy probe over buffers larger than the
+// last-level cache.  The ratio is what the perf gate pins (run it with
+// HITOPK_THREADS=1 so the pool width does not move it).
 //
 // Two topology-axis panels exercise the generalized simnet::Topology:
 //   (c) a 4:1-oversubscribed fat tree (16 nodes x 8 GPUs in 4-node pods,
@@ -27,8 +29,13 @@
 //
 // Flags: --functional_elems=N (default 1M)  --reps=N (default 3)
 //        --json=PATH (default BENCH_fig07.json; empty disables)
+#include <unistd.h>
+
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <cstring>
+#include <functional>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -44,6 +51,7 @@
 #include "collectives/torus2d.h"
 #include "collectives/tree_allreduce.h"
 #include "core/flags.h"
+#include "core/parallel.h"
 #include "core/rng.h"
 #include "core/table.h"
 #include "core/tensor.h"
@@ -229,20 +237,85 @@ std::vector<PlannerRow> run_planner_panel() {
 struct FunctionalRow {
   std::string name;
   double schedule_s = 0.0;
-  double legacy_s = 0.0;
-  double speedup() const { return legacy_s > 0 ? legacy_s / schedule_s : 0; }
+  double memcpy_gbps = 0.0;
+  double norm_throughput = 0.0;
 };
 
-// Measures `fn(data)` wall time under both collective paths: buffers are
-// re-seeded before every repetition (outside the timed region) so each run
-// aggregates the same gradients from the same starting state.  The two
-// paths alternate rep by rep and the minimum is reported — on a shared
-// 1-vCPU host, sequential blocks drift with neighbor load, and min-of-reps
-// is the standard noise-robust wall estimator.
-template <typename Fn>
-FunctionalRow measure_functional(const std::string& name, const Topology& topo,
-                                 size_t elems, int reps, Fn&& fn) {
+// Single-thread memcpy over two buffers each larger than the last-level
+// cache (at least 64 MiB), so every pass streams from DRAM.
+class MemcpyProbe {
+ public:
+  MemcpyProbe() {
+    const long llc = sysconf(_SC_LEVEL3_CACHE_SIZE);
+    const size_t cache = llc > 0 ? static_cast<size_t>(llc) : 0;
+    const size_t bytes = std::max<size_t>(size_t{64} << 20, cache + cache / 4);
+    src_.assign(bytes, 1);
+    dst_.assign(bytes, 0);
+    pass();  // fault the pages in
+  }
+  size_t bytes() const { return src_.size(); }
+  // Seconds for one full copy.
+  double pass() {
+    using clock = std::chrono::steady_clock;
+    ++src_[0];
+    const auto begin = clock::now();
+    std::memcpy(dst_.data(), src_.data(), src_.size());
+    return std::chrono::duration<double>(clock::now() - begin).count();
+  }
+
+ private:
+  std::vector<char> src_, dst_;
+};
+
+// One functional row: a collective over the panel's rank buffers.
+struct FunctionalCase {
+  std::string name;
+  std::function<void(Cluster&, const RankData&)> run;
+};
+
+// Wall time of every case: buffers are re-seeded before every repetition
+// (outside the timed region) so each run aggregates the same gradients
+// from the same starting state.  Repetitions go round-robin over the
+// cases, so every row samples the whole panel's time window, and a memcpy
+// probe pass runs right before each timed call, so the probe sees the same
+// neighbor load as the collective.  One warm-up round, then the minimum
+// over `reps` rounds (min-of-reps is the standard noise-robust wall
+// estimator on a shared host).  The normalized throughput divides the
+// bytes of all rank buffers per second by the probe's best bytes per
+// second.
+std::vector<FunctionalRow> run_functional_panel(size_t elems, int reps) {
   using clock = std::chrono::steady_clock;
+  // Same fast-intra / slow-inter imbalance as the cloud topology, scaled to
+  // a 4x4 cluster so 16 full-size rank buffers fit comfortably in memory.
+  const Topology topo(4, 4, LinkParams{1e-6, 1e-9}, LinkParams{1e-5, 1e-8});
+  auto hitopk = [elems](WireDtype wire) {
+    return [elems, wire](Cluster& c, const RankData& data) {
+      HiTopKOptions options;
+      options.density = 0.01;
+      options.value_wire = wire;
+      hitopk_comm(c, data, elems, options, 0.0);
+    };
+  };
+  const std::vector<FunctionalCase> cases{
+      {"TreeAR",
+       [&](Cluster& c, const RankData& data) {
+         tree_allreduce(c, world_group(c.topology()), data, elems,
+                        TreeOptions{}, 0.0);
+       }},
+      {"2DTAR",
+       [&](Cluster& c, const RankData& data) {
+         torus2d_allreduce(c, data, elems, WireDtype::kFp32, 0.0);
+       }},
+      {"HierAR",
+       [&](Cluster& c, const RankData& data) {
+         hier_allreduce(c, data, elems, WireDtype::kFp32, 0.0);
+       }},
+      {"HiTopKComm", hitopk(WireDtype::kFp32)},
+      // Quantized row: the same hierarchical aggregation with the sparse
+      // values crossing an fp16 wire (dense step-1 leg included).
+      {"HiTopKComm_fp16", hitopk(WireDtype::kFp16)},
+  };
+
   std::vector<Tensor> originals;
   Rng rng(2024);
   for (int r = 0; r < topo.world_size(); ++r) {
@@ -251,70 +324,37 @@ FunctionalRow measure_functional(const std::string& name, const Topology& topo,
     originals.push_back(std::move(t));
   }
   std::vector<Tensor> scratch = originals;
-  FunctionalRow row;
-  row.name = name;
-  double best_schedule = 0.0, best_legacy = 0.0;
-  for (int rep = 0; rep < 2 * (reps + 1); ++rep) {
-    const CollectivePath path =
-        rep % 2 == 0 ? CollectivePath::kSchedule : CollectivePath::kLegacy;
-    set_collective_path(path);
-    for (size_t r = 0; r < originals.size(); ++r) {
-      std::copy(originals[r].span().begin(), originals[r].span().end(),
-                scratch[r].span().begin());
+  RankData spans;
+  for (auto& t : scratch) spans.push_back(t.span());
+  MemcpyProbe probe;
+  std::vector<FunctionalRow> rows(cases.size());
+  std::vector<double> probe_s(cases.size(), 0.0);
+  for (int rep = 0; rep <= reps; ++rep) {
+    for (size_t i = 0; i < cases.size(); ++i) {
+      for (size_t r = 0; r < originals.size(); ++r) {
+        std::copy(originals[r].span().begin(), originals[r].span().end(),
+                  scratch[r].span().begin());
+      }
+      Cluster cluster(topo);
+      const double copy_s = probe.pass();
+      const auto begin = clock::now();
+      cases[i].run(cluster, spans);
+      const double seconds =
+          std::chrono::duration<double>(clock::now() - begin).count();
+      if (rep == 0) continue;  // warm-up round
+      FunctionalRow& row = rows[i];
+      row.schedule_s = rep == 1 ? seconds : std::min(row.schedule_s, seconds);
+      probe_s[i] = rep == 1 ? copy_s : std::min(probe_s[i], copy_s);
     }
-    RankData spans;
-    for (auto& t : scratch) spans.push_back(t.span());
-    Cluster cluster(topo);
-    const auto begin = clock::now();
-    fn(cluster, spans);
-    const double seconds =
-        std::chrono::duration<double>(clock::now() - begin).count();
-    if (rep < 2) continue;  // one warm-up per path
-    double& best = path == CollectivePath::kSchedule ? best_schedule
-                                                     : best_legacy;
-    best = best == 0.0 ? seconds : std::min(best, seconds);
   }
-  row.schedule_s = best_schedule;
-  row.legacy_s = best_legacy;
-  set_collective_path(CollectivePath::kSchedule);
-  return row;
-}
-
-std::vector<FunctionalRow> run_functional_panel(size_t elems, int reps) {
-  // Same fast-intra / slow-inter imbalance as the cloud topology, scaled to
-  // a 4x4 cluster so 16 full-size rank buffers fit comfortably in memory.
-  const Topology topo(4, 4, LinkParams{1e-6, 1e-9}, LinkParams{1e-5, 1e-8});
-  std::vector<FunctionalRow> rows;
-  rows.push_back(measure_functional(
-      "TreeAR", topo, elems, reps, [&](Cluster& c, const RankData& data) {
-        tree_allreduce(c, world_group(c.topology()), data, elems,
-                       TreeOptions{}, 0.0);
-      }));
-  rows.push_back(measure_functional(
-      "2DTAR", topo, elems, reps, [&](Cluster& c, const RankData& data) {
-        torus2d_allreduce(c, data, elems, WireDtype::kFp32, 0.0);
-      }));
-  rows.push_back(measure_functional(
-      "HierAR", topo, elems, reps, [&](Cluster& c, const RankData& data) {
-        hier_allreduce(c, data, elems, WireDtype::kFp32, 0.0);
-      }));
-  rows.push_back(measure_functional(
-      "HiTopKComm", topo, elems, reps, [&](Cluster& c, const RankData& data) {
-        HiTopKOptions options;
-        options.density = 0.01;
-        hitopk_comm(c, data, elems, options, 0.0);
-      }));
-  // Quantized column: the same hierarchical aggregation with the sparse
-  // values crossing an fp16 wire (dense step-1 leg included).  The perf
-  // gate pins this speedup alongside the fp32 row.
-  rows.push_back(measure_functional(
-      "HiTopKComm_fp16", topo, elems, reps,
-      [&](Cluster& c, const RankData& data) {
-        HiTopKOptions options;
-        options.density = 0.01;
-        options.value_wire = WireDtype::kFp16;
-        hitopk_comm(c, data, elems, options, 0.0);
-      }));
+  const double bytes = static_cast<double>(topo.world_size()) *
+                       static_cast<double>(elems) * sizeof(float);
+  for (size_t i = 0; i < cases.size(); ++i) {
+    FunctionalRow& row = rows[i];
+    row.name = cases[i].name;
+    row.memcpy_gbps = static_cast<double>(probe.bytes()) / probe_s[i] / 1e9;
+    row.norm_throughput = bytes / row.schedule_s / (row.memcpy_gbps * 1e9);
+  }
   return rows;
 }
 
@@ -378,14 +418,16 @@ void write_json(const std::string& path, const std::vector<SimRow>& small,
   std::fprintf(json,
                "  },\n  \"functional\": {\n    \"topology\": \"4x4\",\n"
                "    \"elems\": %zu,\n    \"reps\": %d,\n"
+               "    \"threads\": %d,\n"
                "    \"collectives\": {\n",
-               elems, reps);
+               elems, reps, parallel_threads());
   for (size_t i = 0; i < functional.size(); ++i) {
     const FunctionalRow& r = functional[i];
     std::fprintf(json,
-                 "      \"%s\": {\"schedule_s\": %.6f, \"legacy_s\": %.6f, "
-                 "\"speedup\": %.3f}%s\n",
-                 r.name.c_str(), r.schedule_s, r.legacy_s, r.speedup(),
+                 "      \"%s\": {\"schedule_s\": %.6f, "
+                 "\"memcpy_gbps\": %.3f, \"norm_throughput\": %.4f}%s\n",
+                 r.name.c_str(), r.schedule_s, r.memcpy_gbps,
+                 r.norm_throughput,
                  i + 1 < functional.size() ? "," : "");
   }
   std::fprintf(json, "    }\n  }\n}\n");
@@ -486,16 +528,19 @@ int main(int argc, char** argv) {
             << (functional_elems >> 20) << "M elements, wall time) ===\n\n";
   const auto functional = run_functional_panel(functional_elems, reps);
   TablePrinter ftable(
-      {"Collective", "schedule (s)", "legacy (s)", "speedup"});
+      {"Collective", "wall (s)", "GB/s", "memcpy GB/s", "norm throughput"});
   for (const FunctionalRow& r : functional) {
-    ftable.add_row({r.name, TablePrinter::fmt(r.schedule_s, 4),
-                    TablePrinter::fmt(r.legacy_s, 4),
-                    TablePrinter::fmt(r.speedup(), 2) + "x"});
+    ftable.add_row(
+        {r.name, TablePrinter::fmt(r.schedule_s, 4),
+         TablePrinter::fmt(r.norm_throughput * r.memcpy_gbps, 2),
+         TablePrinter::fmt(r.memcpy_gbps, 2),
+         TablePrinter::fmt(r.norm_throughput, 3)});
   }
   ftable.print(std::cout);
-  std::cout << "\nschedule = unified collective-schedule engine (resolved "
-               "all-gathers, batched\nper-step reduces); legacy = the "
-               "pre-engine inline loops (validation reference).\n";
+  std::cout << "\nGB/s = 16 rank buffers' bytes over the wall time; norm "
+               "throughput = that over\nthe single-thread memcpy probe run "
+               "beside each repetition ("
+            << parallel_threads() << " pool thread(s)).\n";
 
   if (!json_path.empty()) {
     write_json(json_path, small_rows, large_rows, fat_rows, uneven_rows,

@@ -8,6 +8,7 @@
 #include <numeric>
 
 #include "collectives/common.h"
+#include "collectives/halving_doubling.h"
 #include "collectives/hier_allreduce.h"
 #include "collectives/hitopkcomm.h"
 #include "collectives/naive_allgather.h"
@@ -153,17 +154,41 @@ TEST(RingAllGather, ReplicatesOwnedChunks) {
   }
 }
 
-TEST(RingTiming, HomogeneousRingMatchesAlphaBetaModel) {
-  // G ranks on one node: RS time = (G-1) * (alpha + chunk_bytes * beta).
-  const int g = 4;
-  Topology topo = fabric(1, g);
-  Cluster cluster(topo);
-  const size_t elems = 4000;  // divisible by 4 -> uniform 1000-elem chunks
-  const double done = ring_reduce_scatter(cluster, world_group(topo), {},
-                                          elems, WireDtype::kFp32, 0.0);
-  const double expected = 3.0 * (1e-6 + 4000.0 * 1e-9);
-  EXPECT_NEAR(done, expected, 1e-12);
+// Closed-form alpha-beta costs (Thakur et al. 2005) on contention-free
+// fabrics: p GPUs on one node (NVLink alpha/beta) or p nodes with one GPU
+// each (NIC alpha/beta).  n bytes split into p uniform chunks:
+//   ring Reduce-Scatter  = (p-1)(alpha + (n/p) beta)
+//   ring All-Reduce      = 2(p-1)(alpha + (n/p) beta)
+//   halving-doubling     = 2 log2(p) alpha + 2((p-1)/p) n beta
+class RingTimingModel : public ::testing::TestWithParam<std::pair<int, int>> {};
+
+TEST_P(RingTimingModel, HomogeneousRingMatchesAlphaBetaModel) {
+  const auto [nodes, gpus] = GetParam();
+  const Topology topo = fabric(nodes, gpus);
+  const LinkParams link = nodes == 1 ? topo.intra() : topo.inter();
+  const int p = topo.world_size();
+  const size_t elems = 4000;  // divisible by p -> uniform chunks
+  const double n = 4.0 * elems;
+  auto expect_model = [](double done, double expected) {
+    EXPECT_NEAR(done, expected, 1e-12 * expected);
+  };
+  Cluster rs(topo), ar(topo), hd(topo);
+  expect_model(ring_reduce_scatter(rs, world_group(topo), {}, elems,
+                                   WireDtype::kFp32, 0.0),
+               (p - 1) * (link.alpha + n / p * link.beta));
+  expect_model(
+      ring_allreduce(ar, world_group(topo), {}, elems, WireDtype::kFp32, 0.0),
+      2.0 * (p - 1) * (link.alpha + n / p * link.beta));
+  expect_model(halving_doubling_allreduce(hd, world_group(topo), {}, elems,
+                                          WireDtype::kFp32, 0.0),
+               2.0 * std::log2(p) * link.alpha +
+                   2.0 * (p - 1) / p * n * link.beta);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Fabrics, RingTimingModel,
+    ::testing::Values(std::pair{1, 2}, std::pair{1, 4}, std::pair{1, 8},
+                      std::pair{2, 1}, std::pair{4, 1}, std::pair{8, 1}));
 
 TEST(RingTiming, Fp16HalvesTransferTime) {
   const int g = 4;

@@ -1,4 +1,4 @@
-// Fault-injection layer: FaultPlan scripts, Cluster::try_send semantics,
+// Fault-injection layer: FaultPlan scripts, fault-aware Cluster::submit,
 // abortable schedule replay, the typed-error split (CheckError invariants vs
 // recoverable ConfigError), and the fault-injected training scenario.
 #include <gtest/gtest.h>
@@ -23,8 +23,9 @@ namespace {
 using simnet::Cluster;
 using simnet::FaultPlan;
 using simnet::FaultRates;
+using simnet::FlowOutcome;
+using simnet::kDefaultJob;
 using simnet::LinkParams;
-using simnet::SendOutcome;
 using simnet::Topology;
 
 Topology tiny() {
@@ -167,17 +168,22 @@ TEST(FaultPlan, RemapKeepsSurvivorsAndSettings) {
   for (const auto& p : mapped.preemptions()) EXPECT_NE(p.rank, 3);
 }
 
-// ------------------------------------------------------------ try_send
+// ------------------------------------------- fault-aware submission
 TEST(TrySend, NoPlanMatchesSendBitwise) {
+  // A plan whose only event lies beyond every flow replays the no-plan
+  // clocks bitwise.
+  FaultPlan late;
+  late.preempt(1, 1e9);
   Cluster a(tiny()), b(tiny());
+  b.set_fault_plan(&late);
   const int hops[][2] = {{0, 1}, {0, 2}, {2, 3}, {1, 3}, {3, 0}};
   for (const auto& h : hops) {
-    const double t_send = a.send(h[0], h[1], 4096, 0.0);
-    const SendOutcome out = b.try_send(h[0], h[1], 4096, 0.0);
+    const double t_free = a.submit({kDefaultJob, h[0], h[1], 4096, 0.0}).time;
+    const FlowOutcome out = b.submit({kDefaultJob, h[0], h[1], 4096, 0.0});
     EXPECT_TRUE(out.delivered);
     EXPECT_FALSE(out.degraded);
     EXPECT_EQ(out.retries, 0);
-    EXPECT_DOUBLE_EQ(out.time, t_send);
+    EXPECT_EQ(out.time, t_free);
   }
   EXPECT_DOUBLE_EQ(a.quiescent_time(), b.quiescent_time());
   EXPECT_EQ(a.inter_node_bytes(), b.inter_node_bytes());
@@ -188,8 +194,8 @@ TEST(TrySend, EmptyPlanTakesTheFaultFreePath) {
   const FaultPlan empty;
   Cluster a(tiny()), b(tiny());
   b.set_fault_plan(&empty);
-  EXPECT_DOUBLE_EQ(a.send(0, 3, 1 << 20, 0.25),
-                   b.try_send(0, 3, 1 << 20, 0.25).time);
+  EXPECT_DOUBLE_EQ(a.submit({kDefaultJob, 0, 3, 1 << 20, 0.25}).time,
+                   b.submit({kDefaultJob, 0, 3, 1 << 20, 0.25}).time);
 }
 
 TEST(TrySend, DeadRankFailsWithoutMutatingState) {
@@ -200,11 +206,11 @@ TEST(TrySend, DeadRankFailsWithoutMutatingState) {
   untouched.set_fault_plan(&plan);
   tried.enable_tracing();
 
-  const SendOutcome as_dst = tried.try_send(0, 1, 4096, 0.0);
+  const FlowOutcome as_dst = tried.submit({kDefaultJob, 0, 1, 4096, 0.0});
   EXPECT_FALSE(as_dst.delivered);
   EXPECT_EQ(as_dst.dead_rank, 1);
   EXPECT_DOUBLE_EQ(as_dst.time, 0.0);  // the would-be start
-  const SendOutcome as_src = tried.try_send(1, 2, 4096, 0.0);
+  const FlowOutcome as_src = tried.submit({kDefaultJob, 1, 2, 4096, 0.0});
   EXPECT_FALSE(as_src.delivered);
   EXPECT_EQ(as_src.dead_rank, 1);
 
@@ -213,21 +219,16 @@ TEST(TrySend, DeadRankFailsWithoutMutatingState) {
   EXPECT_DOUBLE_EQ(tried.quiescent_time(), 0.0);
   EXPECT_EQ(tried.inter_node_bytes() + tried.intra_node_bytes(), size_t{0});
   EXPECT_TRUE(tried.trace().empty());
-  EXPECT_DOUBLE_EQ(tried.try_send(2, 3, 4096, 0.0).time,
-                   untouched.try_send(2, 3, 4096, 0.0).time);
+  EXPECT_DOUBLE_EQ(tried.submit({kDefaultJob, 2, 3, 4096, 0.0}).time,
+                   untouched.submit({kDefaultJob, 2, 3, 4096, 0.0}).time);
 
   // A recovered rank delivers again after its window.
   FaultPlan recovering;
   recovering.preempt(1, 0.0, 10.0);
   Cluster c(tiny());
   c.set_fault_plan(&recovering);
-  EXPECT_FALSE(c.try_send(0, 1, 64, 5.0).delivered);
-  EXPECT_TRUE(c.try_send(0, 1, 64, 10.0).delivered);
-
-  // The blunt send() keeps the invariant: dead ranks are a caller bug there.
-  Cluster d(tiny());
-  d.set_fault_plan(&plan);
-  EXPECT_THROW(d.send(0, 1, 64, 0.0), CheckError);
+  EXPECT_FALSE(c.submit({kDefaultJob, 0, 1, 64, 5.0}).delivered);
+  EXPECT_TRUE(c.submit({kDefaultJob, 0, 1, 64, 10.0}).delivered);
 }
 
 TEST(TrySend, DegradationSlowsInterNodeOnly) {
@@ -236,13 +237,15 @@ TEST(TrySend, DegradationSlowsInterNodeOnly) {
   Cluster faulty(tiny()), healthy(tiny());
   faulty.set_fault_plan(&plan);
   // Intra-node transfer on the degraded node's GPUs: NVLink is unaffected.
-  const SendOutcome intra = faulty.try_send(2, 3, 1 << 20, 0.0);
+  const FlowOutcome intra = faulty.submit({kDefaultJob, 2, 3, 1 << 20, 0.0});
   EXPECT_TRUE(intra.delivered);
   EXPECT_FALSE(intra.degraded);
-  EXPECT_DOUBLE_EQ(intra.time, healthy.send(2, 3, 1 << 20, 0.0));
+  EXPECT_DOUBLE_EQ(intra.time,
+                   healthy.submit({kDefaultJob, 2, 3, 1 << 20, 0.0}).time);
   // Inter-node transfer into the degraded node: 2x the healthy duration.
-  const double healthy_done = healthy.send(0, 2, 1 << 20, 1.0);
-  const SendOutcome inter = faulty.try_send(0, 2, 1 << 20, 1.0);
+  const double healthy_done =
+      healthy.submit({kDefaultJob, 0, 2, 1 << 20, 1.0}).time;
+  const FlowOutcome inter = faulty.submit({kDefaultJob, 0, 2, 1 << 20, 1.0});
   EXPECT_TRUE(inter.degraded);
   EXPECT_DOUBLE_EQ(inter.time - 1.0, 2.0 * (healthy_done - 1.0));
 }
@@ -255,15 +258,17 @@ TEST(TrySend, TransientRetriesChargeBackoffPlusResend) {
   // Find the expected retry count of the first send from the plan itself.
   const int retries = plan.transient_attempts(0);
   Cluster healthy(tiny());
-  const double d0 = healthy.send(0, 2, 1 << 16, 0.0);
-  const SendOutcome out = faulty.try_send(0, 2, 1 << 16, 0.0);
+  const double d0 = healthy.submit({kDefaultJob, 0, 2, 1 << 16, 0.0}).time;
+  const FlowOutcome out = faulty.submit({kDefaultJob, 0, 2, 1 << 16, 0.0});
   EXPECT_TRUE(out.delivered);
   EXPECT_EQ(out.retries, retries);
   EXPECT_DOUBLE_EQ(out.time,
                    d0 + retries * (d0 + plan.transient_backoff()));
   // Some send in a short burst must retry at p = 0.6.
   int total = out.retries;
-  for (int i = 0; i < 20; ++i) total += faulty.try_send(0, 2, 64, 0.0).retries;
+  for (int i = 0; i < 20; ++i) {
+    total += faulty.submit({kDefaultJob, 0, 2, 64, 0.0}).retries;
+  }
   EXPECT_GT(total, 0);
 }
 
@@ -273,10 +278,10 @@ TEST(TrySend, ResetReplaysTheScriptBitIdentically) {
   plan.degrade_node(0, 0.0, 1e-3, 1.5);
   auto drive = [&](Cluster& c) {
     std::vector<double> times;
-    times.push_back(c.try_send(0, 2, 4096, 0.0).time);
-    times.push_back(c.try_send(1, 3, 4096, 0.0).time);
-    times.push_back(c.try_send(0, 1, 4096, 0.0).time);
-    times.push_back(c.try_send(2, 0, 8192, 0.0).time);
+    times.push_back(c.submit({kDefaultJob, 0, 2, 4096, 0.0}).time);
+    times.push_back(c.submit({kDefaultJob, 1, 3, 4096, 0.0}).time);
+    times.push_back(c.submit({kDefaultJob, 0, 1, 4096, 0.0}).time);
+    times.push_back(c.submit({kDefaultJob, 2, 0, 8192, 0.0}).time);
     return times;
   };
   Cluster fresh(tiny()), reused(tiny());

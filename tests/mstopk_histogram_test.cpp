@@ -1,14 +1,15 @@
-// Property tests for the single-pass histogram MSTopK against the legacy
-// multi-pass binary search (the validation reference): both variants must
+// Property tests for the single-pass histogram MSTopK and the paper-literal
+// multi-pass binary search (the selection reference): both variants must
 // return exactly k elements and honor Alg. 1's certain-set/band semantics on
-// random, tied, all-equal, and adversarially skewed inputs, and the
-// histogram selection must capture nearly all exact top-k magnitude mass.
+// random, tied, all-equal, and adversarially skewed inputs, bracket the
+// exact k-th magnitude, and capture nearly all exact top-k magnitude mass.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
 #include <cmath>
 #include <limits>
+#include <numeric>
 #include <set>
 #include <string>
 #include <vector>
@@ -136,16 +137,43 @@ void check_selection_semantics(const Tensor& x, size_t k, MsTopK& op,
   }
 }
 
+double abs_mass(const std::vector<float>& values) {
+  double mass = 0.0;
+  for (const float v : values) mass += std::fabs(v);
+  return mass;
+}
+
+// The exact top-k oracle for the search that just ran on `op`: the bracket
+// holds the exact k-th magnitude m_k (thres2 <= m_k, and m_k <= thres1
+// whenever fewer than k elements clear thres1), and the selection keeps at
+// least `min_overlap` of the exact top-k magnitude mass.
+void expect_matches_exact_topk(const Tensor& x, size_t k,
+                               const SparseTensor& selected, const MsTopK& op,
+                               double min_overlap, const std::string& label) {
+  SCOPED_TRACE(label);
+  const SparseTensor exact = exact_topk(x.span(), k);
+  float kth = std::numeric_limits<float>::infinity();
+  for (const float v : exact.values) kth = std::min(kth, std::fabs(v));
+  const MsTopKStats& stats = op.last_stats();
+  if (stats.thres2 > 0.0f) EXPECT_LE(stats.thres2, kth);
+  if (stats.thres1 > 0.0f && stats.k1 < k) EXPECT_LE(kth, stats.thres1);
+  EXPECT_GE(abs_mass(selected.values), min_overlap * abs_mass(exact.values));
+}
+
 TEST(MsTopKHistogram, SemanticsMatchLegacyReferenceOnAdversarialInputs) {
   for (auto& input : adversarial_inputs()) {
     for (size_t k : {1u, 7u, 100u, 1000u}) {
       if (k >= input.x.size()) continue;
       MsTopK hist(30, 21);
-      MsTopK linear(30, 21, MsTopKMode::kLinear);
       MsTopK legacy(30, 21, MsTopKMode::kMultiPass);
       check_selection_semantics(input.x, k, hist, input.name + "/histogram");
-      check_selection_semantics(input.x, k, linear, input.name + "/linear");
       check_selection_semantics(input.x, k, legacy, input.name + "/legacy");
+      // Both searches against the exact oracle.
+      for (MsTopK* op : {&hist, &legacy}) {
+        const SparseTensor s = op->compress(input.x.span(), k);
+        expect_matches_exact_topk(input.x, k, s, *op, 0.99,
+                                  input.name + "/" + op->name());
+      }
     }
   }
 }
@@ -175,23 +203,20 @@ TEST(MsTopKHistogram, BitBracketCountsAreExactByConstruction) {
 }
 
 TEST(MsTopKHistogram, BracketsAtLeastAsTightAsNineSamplings) {
-  // The linear histogram's 512 buckets resolve the threshold interval to
-  // (max-mean)/512 — the same resolution as 9 binary-search halvings — and
-  // the bit-bucket refinement resolves to 2^13 ulps (half-octave / 512),
-  // tighter still on anything Gaussian-shaped.  Neither bracket gap may
-  // exceed the 9-sampling legacy gap (plus float slop).
+  // The bit-bucket refinement resolves the threshold to 2^13 ulps
+  // (half-octave / 512), tighter than 9 binary-search halvings of
+  // [mean, max] on anything Gaussian-shaped: its bracket gap may not exceed
+  // the 9-sampling multi-pass gap (plus float slop), and it must hold the
+  // exact k-th magnitude.
   Rng rng(211);
   Tensor x(100000);
   x.fill_normal(rng, 0.0f, 1.0f);
   const size_t k = 1000;
 
   MsTopK hist(30, 3);
-  hist.compress(x.span(), k);
+  const SparseTensor selected = hist.compress(x.span(), k);
   const MsTopKStats hist_stats = hist.last_stats();
-
-  MsTopK linear(30, 3, MsTopKMode::kLinear);
-  linear.compress(x.span(), k);
-  const MsTopKStats linear_stats = linear.last_stats();
+  expect_matches_exact_topk(x, k, selected, hist, 0.99, "histogram");
 
   MsTopK legacy(9, 3, MsTopKMode::kMultiPass);
   legacy.compress(x.span(), k);
@@ -199,20 +224,12 @@ TEST(MsTopKHistogram, BracketsAtLeastAsTightAsNineSamplings) {
 
   ASSERT_GT(hist_stats.thres1, 0.0f);
   ASSERT_GT(hist_stats.thres2, 0.0f);
-  ASSERT_GT(linear_stats.thres1, 0.0f);
-  ASSERT_GT(linear_stats.thres2, 0.0f);
   const float hist_gap = hist_stats.thres1 - hist_stats.thres2;
-  const float linear_gap = linear_stats.thres1 - linear_stats.thres2;
   const float legacy_gap = legacy_stats.thres1 - legacy_stats.thres2;
   EXPECT_LE(hist_gap, legacy_gap + 1e-6f);
-  EXPECT_LE(hist_gap, linear_gap + 1e-6f);  // the refinement is tighter yet
-  EXPECT_LE(linear_gap, legacy_gap + 1e-6f);
-  // Pass structure: two bit-bucket counting passes vs one linear counting
-  // pass (which also needs the statistics pass and a verification recount).
+  // Pass structure: two bit-bucket counting passes, no statistics pass.
   EXPECT_EQ(hist_stats.samplings, 2);
   EXPECT_EQ(hist_stats.buckets, 512);
-  EXPECT_EQ(linear_stats.samplings, 1);
-  EXPECT_EQ(linear_stats.buckets, 512);
 }
 
 TEST(MsTopKHistogram, MassOverlapWithExactTopKAtAcceptanceScale) {
@@ -236,18 +253,20 @@ TEST(MsTopKHistogram, MassOverlapWithExactTopKAtAcceptanceScale) {
 
 TEST(MsTopKHistogram, RegistryExposesAllVariants) {
   auto hist = make_compressor("mstopk", 7);
-  auto linear = make_compressor("mstopk_linear", 7);
   auto legacy = make_compressor("mstopk_legacy", 7);
+  auto exact = make_compressor("exact_topk", 7);
   EXPECT_EQ(hist->name(), "mstopk");
-  EXPECT_EQ(linear->name(), "mstopk_linear");
   EXPECT_EQ(legacy->name(), "mstopk_legacy");
 
   Rng rng(229);
   Tensor x(5000);
   x.fill_normal(rng, 0.0f, 1.0f);
-  EXPECT_EQ(hist->compress(x.span(), 50).nnz(), 50u);
-  EXPECT_EQ(linear->compress(x.span(), 50).nnz(), 50u);
-  EXPECT_EQ(legacy->compress(x.span(), 50).nnz(), 50u);
+  const double exact_mass = abs_mass(exact->compress(x.span(), 50).values);
+  for (Compressor* op : {hist.get(), legacy.get()}) {
+    const SparseTensor s = op->compress(x.span(), 50);
+    EXPECT_EQ(s.nnz(), 50u) << op->name();
+    EXPECT_GE(abs_mass(s.values), 0.99 * exact_mass) << op->name();
+  }
 }
 
 TEST(MsTopKHistogram, NonFiniteInputsFallBackLikeTheLegacyPaths) {
@@ -265,15 +284,15 @@ TEST(MsTopKHistogram, NonFiniteInputsFallBackLikeTheLegacyPaths) {
   for (size_t k : {1u, 2u, 50u}) {
     SCOPED_TRACE(k);
     MsTopK hist(30, 37);
-    MsTopK linear(30, 37, MsTopKMode::kLinear);
     MsTopK legacy(30, 37, MsTopKMode::kMultiPass);
     const SparseTensor h = hist.compress(x.span(), k);
-    const SparseTensor li = linear.compress(x.span(), k);
     const SparseTensor le = legacy.compress(x.span(), k);
     EXPECT_EQ(h.nnz(), k);
     EXPECT_TRUE(h.is_valid());
-    // All three modes agree on the degenerate fallback (first k indices).
-    EXPECT_EQ(h.indices, li.indices);
+    // Both modes take the degenerate fallback: the first k indices.
+    std::vector<uint32_t> first_k(k);
+    std::iota(first_k.begin(), first_k.end(), 0u);
+    EXPECT_EQ(h.indices, first_k);
     EXPECT_EQ(h.indices, le.indices);
   }
 }

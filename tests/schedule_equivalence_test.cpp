@@ -1,13 +1,30 @@
-// Schedule-engine vs legacy-loop equivalence for every converted collective:
-// identical port clocks (EXPECT_DOUBLE_EQ, timing-only and functional) and
-// bitwise-identical buffers (byte compare, so -0.0 vs 0.0 or NaN payload
-// differences cannot hide).  Shapes include uneven chunk_range remainders,
-// single-rank groups, and multi-chunk tree pipelining.
+// Every schedule-engine collective checked against oracles that share none
+// of its code:
+//
+//   exact integer sums — integer-valued inputs whose partial sums stay far
+//     below 2^24, so every reduction order is exact and the result must
+//     equal a plain summation loop bit for bit;
+//   frozen digests — FNV-1a (train::fnv1a64) over every rank's output bytes
+//     for random-float inputs, pinning the reduction order and the wire
+//     rounding bit for bit;
+//   frozen clocks — finish and phase times stored as literals, checked for
+//     the functional call and the timing-only call of the same shape.
+//
+// The digests and clocks were captured while the engine was still checked
+// bitwise against the pre-engine inline loops.  Shapes include uneven
+// chunk_range remainders, single-rank groups, and multi-chunk tree
+// pipelining.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
+#include <iomanip>
+#include <map>
+#include <random>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "collectives/blueconnect.h"
@@ -25,6 +42,7 @@
 #include "compress/exact_topk.h"
 #include "core/rng.h"
 #include "core/tensor.h"
+#include "train/checkpoint.h"
 
 namespace hitopk::coll {
 namespace {
@@ -37,13 +55,6 @@ Topology fabric(int nodes, int gpus) {
   return Topology(nodes, gpus, LinkParams{1e-6, 1e-9}, LinkParams{1e-5, 1e-8});
 }
 
-// Restores the default engine path when a test exits (also on failure).
-class PathGuard {
- public:
-  explicit PathGuard(CollectivePath path) { set_collective_path(path); }
-  ~PathGuard() { set_collective_path(CollectivePath::kSchedule); }
-};
-
 std::vector<Tensor> random_buffers(int world, size_t elems, uint64_t seed) {
   Rng rng(seed);
   std::vector<Tensor> buffers;
@@ -55,88 +66,222 @@ std::vector<Tensor> random_buffers(int world, size_t elems, uint64_t seed) {
   return buffers;
 }
 
+// Values in [-64, 64]: sums over <= 16 ranks stay below 2^11, exact in
+// fp32 whatever the association and exact on an fp16 wire.
+std::vector<Tensor> integer_buffers(int world, size_t elems, uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::uniform_int_distribution<int> values(-64, 64);
+  std::vector<Tensor> buffers;
+  for (int r = 0; r < world; ++r) {
+    Tensor t(elems);
+    for (float& x : t.span()) x = static_cast<float>(values(rng));
+    buffers.push_back(std::move(t));
+  }
+  return buffers;
+}
+
 RankData spans_of(std::vector<Tensor>& buffers) {
   RankData spans;
   for (auto& b : buffers) spans.push_back(b.span());
   return spans;
 }
 
-void expect_bitwise_equal(const std::vector<Tensor>& a,
-                          const std::vector<Tensor>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t r = 0; r < a.size(); ++r) {
-    ASSERT_EQ(a[r].size(), b[r].size());
-    ASSERT_EQ(std::memcmp(a[r].data(), b[r].data(),
-                          a[r].size() * sizeof(float)),
-              0)
-        << "buffers of rank " << r << " differ";
+// The summation oracle: element-wise sum of the listed ranks' inputs.
+std::vector<float> integer_sum(const std::vector<Tensor>& inputs,
+                               const std::vector<int>& ranks) {
+  std::vector<float> sum(inputs[0].size(), 0.0f);
+  for (const int r : ranks) {
+    for (size_t i = 0; i < sum.size(); ++i) {
+      sum[i] += inputs[static_cast<size_t>(r)][i];
+    }
+  }
+  return sum;
+}
+
+// Every listed rank's buffer must equal `expected` exactly.
+void expect_holds(const std::vector<Tensor>& buffers,
+                  const std::vector<int>& ranks,
+                  const std::vector<float>& expected) {
+  for (const int r : ranks) {
+    const Tensor& b = buffers[static_cast<size_t>(r)];
+    for (size_t i = 0; i < expected.size(); ++i) {
+      ASSERT_EQ(b[i], expected[i]) << "rank " << r << " elem " << i;
+    }
   }
 }
 
-// Runs `fn(cluster, data)` under both paths on identical inputs and checks
-// clocks + buffers match.  fn returns the completion time.
-template <typename Fn>
-void check_equivalence(const Topology& topo, size_t elems, uint64_t seed,
-                       Fn&& fn) {
-  // Functional.
-  std::vector<Tensor> buf_sched = random_buffers(topo.world_size(), elems, seed);
-  std::vector<Tensor> buf_legacy = buf_sched;
-  double t_sched, t_legacy;
-  {
-    PathGuard guard(CollectivePath::kSchedule);
-    Cluster cluster(topo);
-    t_sched = fn(cluster, spans_of(buf_sched));
+uint64_t digest(const std::vector<Tensor>& buffers) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  for (const Tensor& t : buffers) {
+    h = train::fnv1a64({reinterpret_cast<const uint8_t*>(t.data()),
+                        t.size() * sizeof(float)},
+                       h);
   }
-  {
-    PathGuard guard(CollectivePath::kLegacy);
-    Cluster cluster(topo);
-    t_legacy = fn(cluster, spans_of(buf_legacy));
-  }
-  EXPECT_DOUBLE_EQ(t_sched, t_legacy) << "functional clocks diverge";
-  expect_bitwise_equal(buf_sched, buf_legacy);
+  return h;
+}
 
-  // Timing-only parity of the same call.
-  double t_sched_empty, t_legacy_empty;
-  {
-    PathGuard guard(CollectivePath::kSchedule);
-    Cluster cluster(topo);
-    t_sched_empty = fn(cluster, RankData{});
+// Frozen-value checks.  On a mismatch the message carries the actual value
+// in literal form, so an intended change is re-frozen by pasting it.
+void expect_digest(const std::vector<Tensor>& buffers, uint64_t frozen,
+                   const std::string& what) {
+  const uint64_t actual = digest(buffers);
+  EXPECT_EQ(actual, frozen) << "FROZEN " << what << " digest 0x" << std::hex
+                            << actual;
+}
+
+void expect_clock(double actual, double frozen, const std::string& what) {
+  EXPECT_DOUBLE_EQ(actual, frozen) << "FROZEN " << what << " clock "
+                                   << std::setprecision(17) << actual;
+}
+
+// A digest plus the finish clock of one call.  A few shapes take a
+// different functional path than their timing-only twin (torus2d's ragged
+// fallback), so that clock is frozen separately; < 0 means "same".
+struct Frozen {
+  uint64_t digest;
+  double finish;
+  double timing_only = -1.0;
+  double timing_only_finish() const {
+    return timing_only < 0 ? finish : timing_only;
   }
-  {
-    PathGuard guard(CollectivePath::kLegacy);
-    Cluster cluster(topo);
-    t_legacy_empty = fn(cluster, RankData{});
+};
+
+template <typename Key>
+const Frozen& frozen_at(const std::map<Key, Frozen>& table, const Key& key) {
+  const auto it = table.find(key);
+  if (it == table.end()) {
+    static const Frozen kMissing{0, 0.0};
+    ADD_FAILURE() << "no frozen entry for " << ::testing::PrintToString(key);
+    return kMissing;
   }
-  EXPECT_DOUBLE_EQ(t_sched_empty, t_legacy_empty)
-      << "timing-only clocks diverge";
+  return it->second;
+}
+
+// Runs `fn(cluster, data)` on integer inputs (checked by `check`), on the
+// seeded random inputs (digest and clock), and timing-only (clock).  fn
+// returns the completion time.
+template <typename Fn, typename Check>
+void check_oracles(const Topology& topo, size_t elems, uint64_t seed,
+                   const Frozen& frozen, const std::string& what, Fn&& fn,
+                   Check&& check) {
+  {
+    const std::vector<Tensor> inputs =
+        integer_buffers(topo.world_size(), elems, seed);
+    std::vector<Tensor> buffers = inputs;
+    Cluster cluster(topo);
+    fn(cluster, spans_of(buffers));
+    check(inputs, buffers);
+  }
+  std::vector<Tensor> buffers = random_buffers(topo.world_size(), elems, seed);
+  {
+    Cluster cluster(topo);
+    expect_clock(fn(cluster, spans_of(buffers)), frozen.finish, what);
+  }
+  expect_digest(buffers, frozen.digest, what);
+  Cluster cluster(topo);
+  expect_clock(fn(cluster, RankData{}), frozen.timing_only_finish(),
+               what + " timing-only");
+}
+
+// The check for an All-Reduce over the whole world.
+auto world_sum(const Topology& topo) {
+  return [topo](const std::vector<Tensor>& inputs,
+                const std::vector<Tensor>& out) {
+    expect_holds(out, world_group(topo), integer_sum(inputs, world_group(topo)));
+  };
 }
 
 // ------------------------------------------------------------ ring legs
-class RingEquivalenceTest
-    : public ::testing::TestWithParam<std::pair<int, size_t>> {};
+using RingShape = std::pair<int, size_t>;
+
+class RingEquivalenceTest : public ::testing::TestWithParam<RingShape> {};
+
+const std::map<RingShape, Frozen> kRingReduceScatter{
+    {{1, 64}, {0x89467bf97f98458f, 0.5}},
+    {{2, 67}, {0x82f1332e1b66a7ab, 0.50000113599999996}},
+    {{3, 67}, {0x260b6d2553963f33, 0.50000218399999996}},
+    {{4, 64}, {0x12a3bd6cd0ad3939, 0.50000319199999999}},
+    {{5, 129}, {0xba02fb8b8f774a70, 0.5000044159999999}},
+    {{8, 1000}, {0xb38b9af85e893242, 0.50001049999999991}},
+    {{7, 3}, {0xcbb89e326cdb3e6a, 0.50000602400000016}},
+};
+const std::map<RingShape, Frozen> kRingAllGather{
+    {{1, 64}, {0x81ceb8194ff74442, 0}},
+    {{2, 67}, {0xb704650f9c7215aa, 1.068e-06}},
+    {{3, 67}, {0x34c8333c103b6fc2, 2.092e-06}},
+    {{4, 64}, {0xce1c896b2cd52544, 3.0960000000000001e-06}},
+    {{5, 129}, {0x2f2b1024283586ff, 4.2080000000000002e-06}},
+    {{8, 1000}, {0x942ca47d4ad5065e, 8.7499999999999992e-06}},
+    {{7, 3}, {0x66cb31b23a829aff, 6.0119999999999994e-06}},
+};
+const std::map<RingShape, Frozen> kRingAllReduce{
+    {{1, 64}, {0x3e9f81c973b7e4a3, 0}},
+    {{2, 67}, {0x265e9c598ce60aed, 2.272e-06}},
+    {{3, 67}, {0xfe66fecd43baf5cb, 4.3679999999999995e-06}},
+    {{4, 64}, {0xbea32a8645b1fcb5, 6.3840000000000002e-06}},
+    {{5, 129}, {0xcc11a0ae0d91004, 8.8319999999999995e-06}},
+    {{8, 1000}, {0x9e5e34d187c44525, 2.0999999999999995e-05}},
+    {{7, 3}, {0xb7c9009e390a5b, 1.2047999999999997e-05}},
+};
 
 TEST_P(RingEquivalenceTest, ReduceScatter) {
   const auto [g, elems] = GetParam();
   const Topology topo = fabric(1, g);
-  check_equivalence(topo, elems, 42, [&](Cluster& c, const RankData& data) {
-    return ring_reduce_scatter(c, world_group(c.topology()), data, elems, coll::WireDtype::kFp32, 0.5);
-  });
+  check_oracles(
+      topo, elems, 42, frozen_at(kRingReduceScatter, GetParam()), "ring RS",
+      [&](Cluster& c, const RankData& data) {
+        return ring_reduce_scatter(c, world_group(c.topology()), data, elems,
+                                   WireDtype::kFp32, 0.5);
+      },
+      [&](const std::vector<Tensor>& inputs, const std::vector<Tensor>& out) {
+        // Rank i owns chunk i fully reduced.
+        const std::vector<float> sum = integer_sum(inputs, world_group(topo));
+        for (int i = 0; i < g; ++i) {
+          const ChunkRange range = chunk_range(
+              elems, static_cast<size_t>(g), static_cast<size_t>(i));
+          for (size_t e = range.begin; e < range.begin + range.count; ++e) {
+            ASSERT_EQ(out[static_cast<size_t>(i)][e], sum[e])
+                << "rank " << i << " elem " << e;
+          }
+        }
+      });
 }
 
 TEST_P(RingEquivalenceTest, AllGather) {
   const auto [g, elems] = GetParam();
   const Topology topo = fabric(1, g);
-  check_equivalence(topo, elems, 43, [&](Cluster& c, const RankData& data) {
-    return ring_allgather(c, world_group(c.topology()), data, elems, coll::WireDtype::kFp16, 0.0);
-  });
+  check_oracles(
+      topo, elems, 43, frozen_at(kRingAllGather, GetParam()), "ring AG",
+      [&](Cluster& c, const RankData& data) {
+        return ring_allgather(c, world_group(c.topology()), data, elems,
+                              WireDtype::kFp16, 0.0);
+      },
+      [&](const std::vector<Tensor>& inputs, const std::vector<Tensor>& out) {
+        // Every rank holds owner c's chunk c (small integers survive fp16).
+        for (int c = 0; c < g; ++c) {
+          const ChunkRange range = chunk_range(
+              elems, static_cast<size_t>(g), static_cast<size_t>(c));
+          for (int r = 0; r < g; ++r) {
+            for (size_t e = range.begin; e < range.begin + range.count; ++e) {
+              ASSERT_EQ(out[static_cast<size_t>(r)][e],
+                        inputs[static_cast<size_t>(c)][e])
+                  << "rank " << r << " elem " << e;
+            }
+          }
+        }
+      });
 }
 
 TEST_P(RingEquivalenceTest, AllReduce) {
   const auto [g, elems] = GetParam();
   const Topology topo = fabric(1, g);
-  check_equivalence(topo, elems, 44, [&](Cluster& c, const RankData& data) {
-    return ring_allreduce(c, world_group(c.topology()), data, elems, coll::WireDtype::kFp32, 0.0);
-  });
+  check_oracles(topo, elems, 44, frozen_at(kRingAllReduce, GetParam()),
+                "ring AR",
+                [&](Cluster& c, const RankData& data) {
+                  return ring_allreduce(c, world_group(c.topology()), data,
+                                        elems, WireDtype::kFp32, 0.0);
+                },
+                world_sum(topo));
 }
 
 // Group sizes x element counts with ragged remainders (67 % g != 0 for most
@@ -151,36 +296,45 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(RingEquivalence, AllReduceMultiTwoCrossNodeStreams) {
   const Topology topo = fabric(3, 2);
   const size_t elems = 101;
-  std::vector<Group> groups{cross_node_group(topo, 0),
-                            cross_node_group(topo, 1)};
-  auto run = [&](CollectivePath path, std::vector<Tensor>& buffers) {
-    PathGuard guard(path);
-    Cluster cluster(topo);
-    std::vector<RankData> data(groups.size());
-    for (size_t q = 0; q < groups.size(); ++q) {
-      for (int rank : groups[q]) {
-        data[q].push_back(buffers[static_cast<size_t>(rank)].span());
+  const std::vector<Group> groups{cross_node_group(topo, 0),
+                                  cross_node_group(topo, 1)};
+  auto run = [&](Cluster& cluster, std::vector<Tensor>* buffers) {
+    std::vector<RankData> data;
+    if (buffers != nullptr) {
+      data.resize(groups.size());
+      for (size_t q = 0; q < groups.size(); ++q) {
+        for (int rank : groups[q]) {
+          data[q].push_back((*buffers)[static_cast<size_t>(rank)].span());
+        }
       }
     }
-    return ring_allreduce_multi(cluster, groups, data, elems, coll::WireDtype::kFp32, 0.25);
+    return ring_allreduce_multi(cluster, groups, data, elems,
+                                WireDtype::kFp32, 0.25);
   };
-  std::vector<Tensor> buf_sched = random_buffers(topo.world_size(), elems, 7);
-  std::vector<Tensor> buf_legacy = buf_sched;
-  EXPECT_DOUBLE_EQ(run(CollectivePath::kSchedule, buf_sched),
-                   run(CollectivePath::kLegacy, buf_legacy));
-  expect_bitwise_equal(buf_sched, buf_legacy);
+  const Frozen frozen{0xb40dac3ace2c64d5, 0.25004680000000007};
+  {
+    const std::vector<Tensor> inputs =
+        integer_buffers(topo.world_size(), elems, 7);
+    std::vector<Tensor> buffers = inputs;
+    Cluster cluster(topo);
+    run(cluster, &buffers);
+    for (const Group& group : groups) {
+      expect_holds(buffers, group, integer_sum(inputs, group));
+    }
+  }
+  std::vector<Tensor> buffers = random_buffers(topo.world_size(), elems, 7);
+  Cluster functional(topo), timing_only(topo);
+  expect_clock(run(functional, &buffers), frozen.finish, "multi");
+  expect_digest(buffers, frozen.digest, "multi");
+  expect_clock(run(timing_only, nullptr), frozen.finish, "multi timing-only");
 }
 
 TEST(RingEquivalence, AllGatherBytesVariablePayloads) {
   const Topology topo = fabric(2, 3);
-  auto run = [&](CollectivePath path) {
-    PathGuard guard(path);
-    Cluster cluster(topo);
-    return ring_allgather_bytes(cluster, world_group(topo),
-                                {100, 2000, 5, 40, 999, 1}, 0.0, 1e-5);
-  };
-  EXPECT_DOUBLE_EQ(run(CollectivePath::kSchedule),
-                   run(CollectivePath::kLegacy));
+  Cluster cluster(topo);
+  expect_clock(ring_allgather_bytes(cluster, world_group(topo),
+                                    {100, 2000, 5, 40, 999, 1}, 0.0, 1e-5),
+               0.00013105000000000001, "allgather bytes");
 }
 
 // ------------------------------------------------ ring_allgather_bytes guards
@@ -190,9 +344,6 @@ TEST(RingEquivalence, AllGatherBytesVariablePayloads) {
 TEST(RingAllGatherBytes, SingleRankGroupIsFree) {
   const Topology topo = fabric(1, 1);
   Cluster cluster(topo);
-  EXPECT_DOUBLE_EQ(
-      ring_allgather_bytes(cluster, {0}, {1000000}, 1.5, 1e-3), 1.5);
-  PathGuard guard(CollectivePath::kLegacy);
   EXPECT_DOUBLE_EQ(
       ring_allgather_bytes(cluster, {0}, {1000000}, 1.5, 1e-3), 1.5);
 }
@@ -208,8 +359,18 @@ TEST(RingAllGatherBytes, EmptyGroupsAndPayloadsAreFree) {
 }
 
 // ------------------------------------------------------------ tree
-class TreeEquivalenceTest
-    : public ::testing::TestWithParam<std::pair<int, int>> {};
+using NodeShape = std::pair<int, int>;
+
+class TreeEquivalenceTest : public ::testing::TestWithParam<NodeShape> {};
+
+const std::map<NodeShape, Frozen> kTree{
+    {{1, 2}, {0xff0e6cc7e1930db1, 1.102e-05}},
+    {{2, 1}, {0xff0e6cc7e1930db1, 0.00011020000000000001}},
+    {{2, 4}, {0x66c5bfb485d61a95, 0.00013114400000000003}},
+    {{3, 3}, {0xf4e5cfb4d3b80b57, 0.000238032}},
+    {{5, 2}, {0x277408cd2af60115, 0.00038895999999999988}},
+    {{4, 4}, {0xdef828f1f53be925, 0.00028534399999999998}},
+};
 
 TEST_P(TreeEquivalenceTest, AllReduce) {
   const auto [m, n] = GetParam();
@@ -217,10 +378,12 @@ TEST_P(TreeEquivalenceTest, AllReduce) {
   const size_t elems = 203;  // odd: the two tree halves differ in size
   TreeOptions options;
   options.chunk_bytes = 128;  // force multi-chunk pipelining
-  check_equivalence(topo, elems, 50, [&](Cluster& c, const RankData& data) {
-    return tree_allreduce(c, world_group(c.topology()), data, elems, options,
-                          0.0);
-  });
+  check_oracles(topo, elems, 50, frozen_at(kTree, GetParam()), "tree",
+                [&](Cluster& c, const RankData& data) {
+                  return tree_allreduce(c, world_group(c.topology()), data,
+                                        elems, options, 0.0);
+                },
+                world_sum(topo));
 }
 
 INSTANTIATE_TEST_SUITE_P(Shapes, TreeEquivalenceTest,
@@ -232,54 +395,73 @@ INSTANTIATE_TEST_SUITE_P(Shapes, TreeEquivalenceTest,
 TEST(HierEquivalence, BreakdownAndBuffers) {
   const Topology topo = fabric(3, 4);
   const size_t elems = 77;
-  auto run = [&](CollectivePath path, std::vector<Tensor>* buffers) {
-    PathGuard guard(path);
-    Cluster cluster(topo);
-    RankData data;
-    if (buffers != nullptr) data = spans_of(*buffers);
-    return hier_allreduce(cluster, data, elems, coll::WireDtype::kFp32, 0.125);
-  };
-  std::vector<Tensor> buf_sched = random_buffers(topo.world_size(), elems, 60);
-  std::vector<Tensor> buf_legacy = buf_sched;
-  const auto s = run(CollectivePath::kSchedule, &buf_sched);
-  const auto l = run(CollectivePath::kLegacy, &buf_legacy);
-  EXPECT_DOUBLE_EQ(s.intra_reduce, l.intra_reduce);
-  EXPECT_DOUBLE_EQ(s.inter_allreduce, l.inter_allreduce);
-  EXPECT_DOUBLE_EQ(s.intra_broadcast, l.intra_broadcast);
-  EXPECT_DOUBLE_EQ(s.total, l.total);
-  expect_bitwise_equal(buf_sched, buf_legacy);
-  EXPECT_DOUBLE_EQ(run(CollectivePath::kSchedule, nullptr).total,
-                   run(CollectivePath::kLegacy, nullptr).total);
+  HierArBreakdown b;
+  const Frozen frozen{0x361eb5c23729a3ed, 5.2007999999992283e-05};
+  check_oracles(topo, elems, 60, frozen, "hier",
+                [&](Cluster& c, const RankData& data) {
+                  b = hier_allreduce(c, data, elems, WireDtype::kFp32, 0.125);
+                  return b.total;
+                },
+                world_sum(topo));
+  expect_clock(b.intra_reduce, 3.9240000000162478e-06, "hier intra_reduce");
+  expect_clock(b.inter_allreduce, 4.4159999999959787e-05,
+               "hier inter_allreduce");
+  expect_clock(b.intra_broadcast, 3.9240000000162478e-06,
+               "hier intra_broadcast");
 }
 
 // ------------------------------------------------------------ torus2d
-class TorusEquivalenceTest
-    : public ::testing::TestWithParam<std::pair<std::pair<int, int>, size_t>> {
+using FabricElems = std::pair<NodeShape, size_t>;
+
+class TorusEquivalenceTest : public ::testing::TestWithParam<FabricElems> {};
+
+// Digest and total, then the reduce_scatter / inter_allreduce /
+// intra_allgather phase clocks.
+struct FrozenTorus {
+  Frozen total;
+  double phases[3];
+};
+
+const std::map<FabricElems, FrozenTorus> kTorus{
+    {{{2, 4}, 96},
+     {{0xe8558b5192575365, 2.8976000000000005e-05},
+      {3.2879999999999997e-06, 2.2400000000000002e-05,
+       3.2880000000000031e-06}}},
+    {{{2, 4}, 97},
+     {{0x201820327275325, 6.0520000000000003e-05, 2.9200000000000002e-05},
+      {3.3000000000000002e-06, 5.3920000000000006e-05,
+       3.2999999999999989e-06}}},
+    {{{3, 3}, 97},
+     {{0x766ae20c716e4b09, 0.00010980800000000003, 4.716800000000002e-05},
+      {2.2639999999999998e-06, 0.00010528000000000002,
+       2.2640000000000041e-06}}},
+    {{{4, 2}, 64},
+     {{0x4c115be6c9e4d1a5, 6.4496000000000014e-05},
+      {1.128e-06, 6.224e-05, 1.1280000000000068e-06}}},
+    {{{1, 4}, 97},
+     {{0xbdab061718c9c945, 6.5999999999999995e-06},
+      {3.3000000000000002e-06, 0, 3.2999999999999993e-06}}},
 };
 
 TEST_P(TorusEquivalenceTest, BreakdownAndBuffers) {
   const auto [shape, elems] = GetParam();
   const auto [m, n] = shape;
   const Topology topo = fabric(m, n);
-  auto run = [&](CollectivePath path, std::vector<Tensor>* buffers) {
-    PathGuard guard(path);
-    Cluster cluster(topo);
-    RankData data;
-    if (buffers != nullptr) data = spans_of(*buffers);
-    return torus2d_allreduce(cluster, data, elems, coll::WireDtype::kFp32, 0.0);
-  };
-  std::vector<Tensor> buf_sched =
-      random_buffers(topo.world_size(), elems, 70 + elems);
-  std::vector<Tensor> buf_legacy = buf_sched;
-  const auto s = run(CollectivePath::kSchedule, &buf_sched);
-  const auto l = run(CollectivePath::kLegacy, &buf_legacy);
-  EXPECT_DOUBLE_EQ(s.reduce_scatter, l.reduce_scatter);
-  EXPECT_DOUBLE_EQ(s.inter_allreduce, l.inter_allreduce);
-  EXPECT_DOUBLE_EQ(s.intra_allgather, l.intra_allgather);
-  EXPECT_DOUBLE_EQ(s.total, l.total);
-  expect_bitwise_equal(buf_sched, buf_legacy);
-  EXPECT_DOUBLE_EQ(run(CollectivePath::kSchedule, nullptr).total,
-                   run(CollectivePath::kLegacy, nullptr).total);
+  const auto it = kTorus.find(GetParam());
+  ASSERT_NE(it, kTorus.end());
+  const FrozenTorus& frozen = it->second;
+  Torus2dBreakdown b;
+  check_oracles(topo, elems, 70 + elems, frozen.total, "torus",
+                [&](Cluster& c, const RankData& data) {
+                  const auto r =
+                      torus2d_allreduce(c, data, elems, WireDtype::kFp32, 0.0);
+                  if (!data.empty()) b = r;  // the functional phases
+                  return r.total;
+                },
+                world_sum(topo));
+  expect_clock(b.reduce_scatter, frozen.phases[0], "torus reduce_scatter");
+  expect_clock(b.inter_allreduce, frozen.phases[1], "torus inter_allreduce");
+  expect_clock(b.intra_allgather, frozen.phases[2], "torus intra_allgather");
 }
 
 // 96 divides evenly by every n here (the one-schedule path); 97 exercises
@@ -296,100 +478,144 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(ParamServerEquivalence, BreakdownAndBuffers) {
   const Topology topo = fabric(3, 2);
   const size_t elems = 101;
-  auto run = [&](CollectivePath path, std::vector<Tensor>* buffers) {
-    PathGuard guard(path);
-    Cluster cluster(topo);
-    RankData data;
-    if (buffers != nullptr) data = spans_of(*buffers);
-    return param_server_allreduce(cluster, data, elems, coll::WireDtype::kFp32, 0.0);
-  };
-  std::vector<Tensor> buf_sched = random_buffers(topo.world_size(), elems, 80);
-  std::vector<Tensor> buf_legacy = buf_sched;
-  const auto s = run(CollectivePath::kSchedule, &buf_sched);
-  const auto l = run(CollectivePath::kLegacy, &buf_legacy);
-  EXPECT_DOUBLE_EQ(s.push, l.push);
-  EXPECT_DOUBLE_EQ(s.pull, l.pull);
-  EXPECT_DOUBLE_EQ(s.total, l.total);
-  expect_bitwise_equal(buf_sched, buf_legacy);
-  EXPECT_DOUBLE_EQ(run(CollectivePath::kSchedule, nullptr).total,
-                   run(CollectivePath::kLegacy, nullptr).total);
+  ParamServerResult b;
+  const Frozen frozen{0x57a33b9b4345d601, 0.00011858800000000001};
+  check_oracles(topo, elems, 80, frozen, "ps",
+                [&](Cluster& c, const RankData& data) {
+                  b = param_server_allreduce(c, data, elems, WireDtype::kFp32,
+                                             0.0);
+                  return b.total;
+                },
+                world_sum(topo));
+  expect_clock(b.push, 6.0428000000000005e-05, "ps push");
+  expect_clock(b.pull, 5.8160000000000006e-05, "ps pull");
 }
 
 // ------------------------------------------------------------ HiTopKComm
+// Sum of every residual entry across all EF keys.
+double residual_total(const compress::ErrorFeedback& ef) {
+  double total = 0.0;
+  for (const std::string& key : ef.keys()) {
+    for (const float v : ef.residual(key)) total += v;
+  }
+  return total;
+}
+
 TEST(HiTopKEquivalence, FunctionalWithErrorFeedback) {
   const Topology topo = fabric(2, 4);
   const size_t elems = 250;  // ragged shards (250 % 4 != 0)
-  auto run = [&](CollectivePath path, std::vector<Tensor>* buffers,
+  auto run = [&](Cluster& cluster, const RankData& data,
                  compress::ErrorFeedback* ef) {
-    PathGuard guard(path);
-    Cluster cluster(topo);
-    RankData data;
-    if (buffers != nullptr) data = spans_of(*buffers);
     HiTopKOptions options;
     options.density = 0.05;
     options.seed = 99;
     options.error_feedback = ef;
     return hitopk_comm(cluster, data, elems, options, 0.0);
   };
-  std::vector<Tensor> buf_sched = random_buffers(topo.world_size(), elems, 90);
-  std::vector<Tensor> buf_legacy = buf_sched;
-  compress::ErrorFeedback ef_sched, ef_legacy;
-  const auto s = run(CollectivePath::kSchedule, &buf_sched, &ef_sched);
-  const auto l = run(CollectivePath::kLegacy, &buf_legacy, &ef_legacy);
-  EXPECT_DOUBLE_EQ(s.reduce_scatter, l.reduce_scatter);
-  EXPECT_DOUBLE_EQ(s.inter_allgather, l.inter_allgather);
-  EXPECT_DOUBLE_EQ(s.intra_allgather, l.intra_allgather);
-  EXPECT_DOUBLE_EQ(s.total, l.total);
-  expect_bitwise_equal(buf_sched, buf_legacy);
-  EXPECT_DOUBLE_EQ(ef_sched.residual_sq_norm(), ef_legacy.residual_sq_norm());
-  EXPECT_DOUBLE_EQ(run(CollectivePath::kSchedule, nullptr, nullptr).total,
-                   run(CollectivePath::kLegacy, nullptr, nullptr).total);
+  // Conservation on integer inputs: what was aggregated plus what error
+  // feedback kept back is exactly the mass that went in.
+  {
+    const std::vector<Tensor> inputs =
+        integer_buffers(topo.world_size(), elems, 90);
+    std::vector<Tensor> buffers = inputs;
+    compress::ErrorFeedback ef;
+    Cluster cluster(topo);
+    run(cluster, spans_of(buffers), &ef);
+    double in = 0.0, out = 0.0;
+    for (const Tensor& t : inputs) {
+      for (size_t i = 0; i < elems; ++i) in += t[i];
+    }
+    for (size_t i = 0; i < elems; ++i) out += buffers[0][i];
+    EXPECT_EQ(out + residual_total(ef), in);
+    expect_holds(buffers, world_group(topo),
+                 std::vector<float>(buffers[0].data(),
+                                    buffers[0].data() + elems));
+  }
+  std::vector<Tensor> buffers = random_buffers(topo.world_size(), elems, 90);
+  compress::ErrorFeedback ef;
+  Cluster cluster(topo);
+  const HiTopKBreakdown b = run(cluster, spans_of(buffers), &ef);
+  expect_digest(buffers, 0xae516efc7f17dd25, "hitopk");
+  expect_clock(b.reduce_scatter, 3.7560000000000001e-06,
+               "hitopk reduce_scatter");
+  expect_clock(b.inter_allgather, 1.096e-05, "hitopk inter_allgather");
+  expect_clock(b.intra_allgather, 3.1440000000000007e-06,
+               "hitopk intra_allgather");
+  expect_clock(b.total, 1.7860000000000002e-05, "hitopk total");
+  expect_clock(ef.residual_sq_norm(), 1492.256882309176,
+               "hitopk residual_sq_norm");
+  Cluster timing_only(topo);
+  expect_clock(run(timing_only, {}, nullptr).total, 1.7860000000000002e-05,
+               "hitopk total timing-only");
 }
 
 // ------------------------------------------------------------ gTop-k
-// Clock parity and bitwise buffers across power-of-two and folded
-// (non-power-of-two) worlds, with error-feedback state carried across two
-// successive calls — the engine path also swaps the dense-allocating merge
-// for the fused workspace-backed one, so this pins that rewrite too.
-class GtopkEquivalenceTest
-    : public ::testing::TestWithParam<std::pair<std::pair<int, int>, size_t>> {
+// Power-of-two and folded (non-power-of-two) worlds, with error-feedback
+// state carried across two successive calls.
+class GtopkEquivalenceTest : public ::testing::TestWithParam<FabricElems> {};
+
+// Digest, the two calls' finish clocks, and the EF residual norm.
+struct FrozenGtopk {
+  uint64_t digest;
+  double first;
+  double second;
+  double residual_sq_norm;
+};
+
+const std::map<FabricElems, FrozenGtopk> kGtopk{
+    {{{2, 2}, 200},
+     {0xd9fdf6eedfdaf3a5, 1.2344000000000001e-05, 1.2344000000000004e-05,
+      577.06228112078043}},
+    {{{2, 4}, 257},
+     {0x92fccf90a0c2b485, 1.5360000000000002e-05, 1.5360000000000002e-05,
+      1531.2037868561547}},
+    {{{3, 1}, 100},
+     {0x7aede7e4f3489f41, 3.0960000000000002e-05, 3.0960000000000002e-05,
+      258.40024714916672}},
+    {{{3, 2}, 331},
+     {0x9ab0819216f4a8ad, 3.6304000000000003e-05, 3.6304000000000003e-05,
+      1387.1014349386869}},
+    {{{3, 4}, 97},
+     {0x60a3c8d034c1a645, 3.4944000000000003e-05, 3.4943999999999989e-05,
+      875.31236530312799}},
 };
 
 TEST_P(GtopkEquivalenceTest, TwoCallsWithErrorFeedback) {
   const auto [shape, elems] = GetParam();
   const auto [m, n] = shape;
   const Topology topo = fabric(m, n);
-  auto run = [&](CollectivePath path, std::vector<Tensor>* buffers,
-                 compress::ErrorFeedback* ef) {
-    PathGuard guard(path);
+  const auto it = kGtopk.find(GetParam());
+  ASSERT_NE(it, kGtopk.end());
+  const FrozenGtopk& frozen = it->second;
+  auto run = [&](const RankData& data, compress::ErrorFeedback* ef) {
     Cluster cluster(topo);
     GtopkOptions options;
     options.density = 0.04;
     options.error_feedback = ef;
-    RankData data;
-    if (buffers != nullptr) data = spans_of(*buffers);
     const auto first = coll::gtopk_comm(cluster, data, elems, options, 0.0);
     // Second call continues from the first's residuals (functional mode).
     const auto second =
         coll::gtopk_comm(cluster, data, elems, options, first.total);
     return std::pair{first, second};
   };
-  std::vector<Tensor> buf_sched =
+  std::vector<Tensor> buffers =
       random_buffers(topo.world_size(), elems, 300 + elems);
-  std::vector<Tensor> buf_legacy = buf_sched;
-  compress::ErrorFeedback ef_sched, ef_legacy;
-  const auto s = run(CollectivePath::kSchedule, &buf_sched, &ef_sched);
-  const auto l = run(CollectivePath::kLegacy, &buf_legacy, &ef_legacy);
-  EXPECT_DOUBLE_EQ(s.first.total, l.first.total);
-  EXPECT_DOUBLE_EQ(s.second.total, l.second.total);
-  EXPECT_EQ(s.first.rounds, l.first.rounds);
-  EXPECT_EQ(s.second.final_nnz, l.second.final_nnz);
-  expect_bitwise_equal(buf_sched, buf_legacy);
-  EXPECT_DOUBLE_EQ(ef_sched.residual_sq_norm(), ef_legacy.residual_sq_norm());
-  // Timing-only parity of the same shapes.
-  const auto s_empty = run(CollectivePath::kSchedule, nullptr, nullptr);
-  const auto l_empty = run(CollectivePath::kLegacy, nullptr, nullptr);
-  EXPECT_DOUBLE_EQ(s_empty.second.total, l_empty.second.total);
+  compress::ErrorFeedback ef;
+  const auto [first, second] = run(spans_of(buffers), &ef);
+  expect_digest(buffers, frozen.digest, "gtopk");
+  expect_clock(first.total, frozen.first, "gtopk first");
+  expect_clock(second.total, frozen.second, "gtopk second");
+  expect_clock(ef.residual_sq_norm(), frozen.residual_sq_norm,
+               "gtopk residual_sq_norm");
+  // Every rank ends on the same aggregate.
+  expect_holds(
+      buffers, world_group(topo),
+      std::vector<float>(buffers[0].data(), buffers[0].data() + elems));
+  const auto [first_t, second_t] = run({}, nullptr);
+  expect_clock(first_t.total, frozen.first, "gtopk first timing-only");
+  expect_clock(second_t.total, frozen.second, "gtopk second timing-only");
+  EXPECT_EQ(first.rounds, first_t.rounds);
+  EXPECT_EQ(second.final_nnz, second_t.final_nnz);
 }
 
 // Power-of-two (2x2, 2x4), folded worlds (3x1, 3x2, 3x4), an uneven ragged
@@ -408,24 +634,19 @@ TEST(GtopkEquivalence, UnevenNodeTopology) {
   const Topology topo(std::vector<int>{3, 1, 2}, LinkParams{1e-6, 1e-9},
                       LinkParams{1e-5, 1e-8});
   const size_t elems = 150;
-  auto run = [&](CollectivePath path, std::vector<Tensor>* buffers) {
-    PathGuard guard(path);
+  auto run = [&](const RankData& data) {
     Cluster cluster(topo);
     GtopkOptions options;
     options.density = 0.05;
-    RankData data;
-    if (buffers != nullptr) data = spans_of(*buffers);
     return coll::gtopk_comm(cluster, data, elems, options, 0.25);
   };
-  std::vector<Tensor> buf_sched = random_buffers(topo.world_size(), elems, 44);
-  std::vector<Tensor> buf_legacy = buf_sched;
-  const auto s = run(CollectivePath::kSchedule, &buf_sched);
-  const auto l = run(CollectivePath::kLegacy, &buf_legacy);
-  EXPECT_DOUBLE_EQ(s.total, l.total);
+  std::vector<Tensor> buffers = random_buffers(topo.world_size(), elems, 44);
+  const auto s = run(spans_of(buffers));
   EXPECT_EQ(s.rounds, 4u);  // q = 4: fold + 2 + unfold
-  expect_bitwise_equal(buf_sched, buf_legacy);
-  EXPECT_DOUBLE_EQ(run(CollectivePath::kSchedule, nullptr).total,
-                   run(CollectivePath::kLegacy, nullptr).total);
+  expect_digest(buffers, 0x6481d64c6d250d25, "gtopk uneven");
+  expect_clock(s.total, 3.3624000000009868e-05, "gtopk uneven");
+  expect_clock(run({}).total, 3.3624000000009868e-05,
+               "gtopk uneven timing-only");
 }
 
 // ------------------------------------------------------------ NaiveAG
@@ -433,41 +654,50 @@ TEST(NaiveAgEquivalence, RaggedSparsePayloads) {
   const Topology topo = fabric(3, 2);
   const size_t elems = 211;
   // Per-rank top-k with *different* k so the ring payloads are ragged.
-  std::vector<Tensor> grads = random_buffers(topo.world_size(), elems, 91);
-  std::vector<compress::SparseTensor> sparse;
-  for (size_t r = 0; r < grads.size(); ++r) {
-    sparse.push_back(compress::exact_topk(grads[r].span(), 3 + 5 * r));
-  }
-  auto run = [&](CollectivePath path, std::vector<Tensor>* buffers) {
-    PathGuard guard(path);
-    Cluster cluster(topo);
-    RankData data;
-    if (buffers != nullptr) data = spans_of(*buffers);
-    return coll::naive_sparse_allgather(cluster, sparse, data, elems, 2,
-                                        1e-4, 0.5);
+  auto select = [&](const std::vector<Tensor>& grads) {
+    std::vector<compress::SparseTensor> sparse;
+    for (size_t r = 0; r < grads.size(); ++r) {
+      sparse.push_back(compress::exact_topk(grads[r].span(), 3 + 5 * r));
+    }
+    return sparse;
   };
-  std::vector<Tensor> buf_sched = random_buffers(topo.world_size(), elems, 92);
-  std::vector<Tensor> buf_legacy = buf_sched;
-  const auto s = run(CollectivePath::kSchedule, &buf_sched);
-  const auto l = run(CollectivePath::kLegacy, &buf_legacy);
-  EXPECT_DOUBLE_EQ(s.total, l.total);
-  EXPECT_DOUBLE_EQ(s.allgather, l.allgather);
-  EXPECT_DOUBLE_EQ(s.accumulate, l.accumulate);
-  expect_bitwise_equal(buf_sched, buf_legacy);
-  EXPECT_DOUBLE_EQ(run(CollectivePath::kSchedule, nullptr).total,
-                   run(CollectivePath::kLegacy, nullptr).total);
+  auto run = [&](const std::vector<compress::SparseTensor>& sparse,
+                 const RankData& data) {
+    Cluster cluster(topo);
+    return coll::naive_sparse_allgather(cluster, sparse, data, elems, 2, 1e-4,
+                                        0.5);
+  };
+  {
+    // Every rank ends on the scatter-added sum of all selections.
+    const auto sparse = select(integer_buffers(topo.world_size(), elems, 91));
+    std::vector<float> expected(elems, 0.0f);
+    for (const auto& s : sparse) {
+      for (size_t j = 0; j < s.nnz(); ++j) {
+        expected[s.indices[j]] += s.values[j];
+      }
+    }
+    std::vector<Tensor> buffers = random_buffers(topo.world_size(), elems, 92);
+    run(sparse, spans_of(buffers));
+    expect_holds(buffers, world_group(topo), expected);
+  }
+  const auto sparse = select(random_buffers(topo.world_size(), elems, 91));
+  std::vector<Tensor> buffers = random_buffers(topo.world_size(), elems, 92);
+  const auto s = run(sparse, spans_of(buffers));
+  expect_digest(buffers, 0x87bc67cd82b284d5, "naive");
+  expect_clock(s.total, 0.0051554000000000322, "naive total");
+  expect_clock(s.allgather, 0.0050554000000000432, "naive allgather");
+  expect_clock(s.accumulate, 9.9999999999988987e-05, "naive accumulate");
+  expect_clock(run(sparse, {}).total, 0.0051554000000000322,
+               "naive total timing-only");
 }
 
 TEST(NaiveAgEquivalence, UnevenNodeTopologyTimingParity) {
   const Topology topo(std::vector<int>{2, 4, 1}, LinkParams{1e-6, 1e-9},
                       LinkParams{1e-5, 1e-8});
-  auto run = [&](CollectivePath path) {
-    PathGuard guard(path);
-    Cluster cluster(topo);
-    return coll::naive_sparse_allgather_time(cluster, 64, 2, 1e-4, 0.0).total;
-  };
-  EXPECT_DOUBLE_EQ(run(CollectivePath::kSchedule),
-                   run(CollectivePath::kLegacy));
+  Cluster cluster(topo);
+  expect_clock(
+      coll::naive_sparse_allgather_time(cluster, 64, 2, 1e-4, 0.0).total,
+      0.0061830400000000008, "naive uneven");
 }
 
 // Guard class from PR 4's ring_allgather_bytes_multi g == 0 fix: degenerate
@@ -497,28 +727,19 @@ TEST(NaiveAgGuards, EmptySelectionsRideAsLatencyOnlyMessages) {
   const Topology topo = fabric(2, 2);
   const size_t elems = 40;
   // k == 0 everywhere: zero payload bytes, but the ring steps still pay
-  // alpha, identically on both paths.
+  // alpha, so the gather costs 3 latency-only hops.
   std::vector<compress::SparseTensor> sparse(4);
   for (auto& s : sparse) s.dense_size = elems;
   std::vector<Tensor> buffers = random_buffers(4, elems, 7);
-  auto run = [&](CollectivePath path, std::vector<Tensor>* bufs) {
-    PathGuard guard(path);
-    Cluster cluster(topo);
-    RankData data;
-    if (bufs != nullptr) data = spans_of(*bufs);
-    return coll::naive_sparse_allgather(cluster, sparse, data, elems, 4, 0.0,
-                                        0.0);
-  };
-  std::vector<Tensor> buf_sched = buffers;
-  std::vector<Tensor> buf_legacy = buffers;
-  const auto s = run(CollectivePath::kSchedule, &buf_sched);
-  const auto l = run(CollectivePath::kLegacy, &buf_legacy);
-  EXPECT_DOUBLE_EQ(s.total, l.total);
+  Cluster cluster(topo);
+  const auto s = coll::naive_sparse_allgather(cluster, sparse,
+                                              spans_of(buffers), elems, 4, 0.0,
+                                              0.0);
   EXPECT_GT(s.allgather, 0.0);  // alpha per step survives
-  for (const auto& t : buf_sched) {
+  expect_clock(s.total, 0.0030300000000000001, "naive empty");
+  for (const auto& t : buffers) {
     for (size_t i = 0; i < elems; ++i) ASSERT_EQ(t[i], 0.0f);  // empty sum
   }
-  expect_bitwise_equal(buf_sched, buf_legacy);
 }
 
 TEST(NaiveAgGuards, EmptyRankDataIsTimingOnly) {
@@ -533,10 +754,9 @@ TEST(NaiveAgGuards, EmptyRankDataIsTimingOnly) {
 }
 
 // ------------------------------------------------------------ BlueConnect
-// BlueConnect has no legacy twin: with factors = {P} its recorded schedule
-// must be *identical* to ring_allreduce's (clock and bitwise), which in
-// turn is pinned against the legacy loops above — that chain anchors the
-// whole decomposition.
+// With factors = {P} BlueConnect's recorded schedule must be *identical* to
+// ring_allreduce's (clock and bitwise), which the oracles above pin — that
+// chain anchors the whole decomposition.
 TEST(BlueConnect, SingleStageIsExactlyFlatRing) {
   const Topology topo = fabric(3, 2);
   const size_t elems = 151;
@@ -545,20 +765,22 @@ TEST(BlueConnect, SingleStageIsExactlyFlatRing) {
   Cluster c_bc(topo), c_ring(topo);
   BlueConnectOptions options;
   options.factors = {6};
-  options.wire = coll::WireDtype::kFp32;
+  options.wire = WireDtype::kFp32;
   const auto bc =
       blueconnect_allreduce(c_bc, spans_of(buf_bc), elems, options, 0.75);
   const double ring = ring_allreduce(c_ring, world_group(topo),
-                                     spans_of(buf_ring), elems, coll::WireDtype::kFp32, 0.75);
+                                     spans_of(buf_ring), elems,
+                                     WireDtype::kFp32, 0.75);
   // Same expression shape on both sides (finish - start), so the doubles
   // must be identical, not merely close.
   EXPECT_DOUBLE_EQ(bc.total, ring - 0.75);
-  expect_bitwise_equal(buf_bc, buf_ring);
+  EXPECT_EQ(digest(buf_bc), digest(buf_ring));
   // Timing-only too.
   Cluster c_bc2(topo), c_ring2(topo);
   EXPECT_DOUBLE_EQ(
       blueconnect_allreduce(c_bc2, {}, elems, options, 0.0).total,
-      ring_allreduce(c_ring2, world_group(topo), {}, elems, coll::WireDtype::kFp32, 0.0));
+      ring_allreduce(c_ring2, world_group(topo), {}, elems,
+                     WireDtype::kFp32, 0.0));
 }
 
 class BlueConnectShapeTest
@@ -621,6 +843,7 @@ TEST(BlueConnect, RejectsFactorizationMismatch) {
   EXPECT_THROW(blueconnect_allreduce(cluster, {}, 10, options, 0.0),
                ConfigError);
 }
+
 
 // ------------------------------------------------------- engine unit tests
 TEST(Schedule, SyncCollapseAndMarks) {

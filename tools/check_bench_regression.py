@@ -6,8 +6,9 @@ Usage: check_bench_regression.py REF.json NEW.json [--tolerance 0.25]
 
 Field classes (by key name, recursively):
   - booleans ("bit_identical"): a reference `true` must stay `true`.
-  - "speedup": machine-portable ratio of two wall times measured in the
-    same process; regression if NEW < REF * (1 - tolerance).
+  - "speedup" / "norm_throughput": machine-portable ratios measured in one
+    process (two wall times, or bytes per second over an in-process memcpy
+    probe); higher is better, regression if NEW < REF * (1 - tolerance).
   - "mass_overlap": deterministic selection quality; regression if it drops
     by more than 0.005.
   - keys under a "sim" subtree: deterministic port-clock simulation times,
@@ -27,6 +28,7 @@ import json
 import sys
 
 WALL_SUFFIXES = ("_s", "seconds")
+RATIO_KEYS = {"speedup", "norm_throughput"}
 META_KEYS = {"d", "k", "elems", "elems_m"}
 
 
@@ -79,13 +81,13 @@ class Checker:
             if rel > self.sim_tolerance:
                 self.fail(path, f"simulated time drifted: {ref:g} -> {new:g} "
                                 f"(rel {rel:.2e}; deterministic field)")
-        elif key == "speedup":
+        elif key in RATIO_KEYS:
             floor = ref * (1.0 - self.tolerance)
             if new < floor:
-                self.fail(path, f"speedup regressed: {ref:.2f} -> {new:.2f} "
-                                f"(floor {floor:.2f})")
+                self.fail(path, f"{key} regressed: {ref:.3f} -> {new:.3f} "
+                                f"(floor {floor:.3f})")
             else:
-                self.note(path, f"speedup {ref:.2f} -> {new:.2f}")
+                self.note(path, f"{key} {ref:.3f} -> {new:.3f}")
         elif key == "mass_overlap":
             if new < ref - 0.005:
                 self.fail(path, f"selection quality dropped: {ref:.4f} -> {new:.4f}")
@@ -105,8 +107,9 @@ def main():
     parser.add_argument("ref")
     parser.add_argument("new")
     parser.add_argument("--tolerance", type=float, default=0.25,
-                        help="allowed fractional regression for speedups "
-                             "(and wall times with --gate-wall)")
+                        help="allowed fractional regression for speedups and "
+                             "normalized throughputs (and wall times with "
+                             "--gate-wall)")
     parser.add_argument("--sim-tolerance", type=float, default=1e-6,
                         help="allowed relative drift of deterministic "
                              "simulated times")
