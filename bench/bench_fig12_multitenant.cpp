@@ -25,10 +25,19 @@
 // output sits under the JSON "sim" subtree and the CI perf gate pins it to
 // 1e-6 relative (bench/refs/BENCH_fig12.json; schema in docs/REPRODUCING.md).
 //
+// --scaling adds a wall-clock panel: one spread replay each of a 1,000-
+// and a 10,000-job trace (same seed and arrival rate), reporting body calls
+// (scheduler events) per wall second.  The port timelines retire history
+// at the scheduler's watermark, so events/s should stay flat as the trace
+// grows; the CI perf gate fails when 10k falls below 0.7x of 1k.  These
+// numbers are wall clocks and go to a "scaling" subtree outside "sim".
+//
 // Flags: --jobs=N (default 120, the >=100-job replay the CI gate pins)
 //        --seed=N (default HITOPK_FIG12_SEED env or 20260807)
 //        --mean_arrival_ms=F (default 50)  --grad_mb=N (default 100)
+//        --scaling (adds the 1k/10k-job wall-clock panel)
 //        --json=PATH (default BENCH_fig12.json; empty disables)
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
@@ -49,6 +58,40 @@ uint64_t default_seed() {
     return static_cast<uint64_t>(std::strtoull(env, nullptr, 10));
   }
   return 20260807ull;
+}
+
+struct ScalingRun {
+  int jobs = 0;
+  double wall_s = 0.0;
+  long long body_calls = 0;
+  double events_per_s = 0.0;
+};
+
+// One spread replay of a `jobs`-long trace, isolated baselines included,
+// timed on the wall clock with every body call counted.
+ScalingRun scaling_run(const simnet::Topology& topo,
+                       simnet::TraceOptions trace_options, int jobs) {
+  trace_options.jobs = jobs;
+  const std::vector<simnet::JobSpec> trace =
+      simnet::generate_trace(trace_options);
+  ScalingRun run;
+  run.jobs = jobs;
+  const simnet::JobBody tenant =
+      train::make_tenant_body(train::TenantWorkload{});
+  const simnet::JobBody counted =
+      [&](simnet::Cluster& cluster, const simnet::JobSpec& spec,
+          const std::vector<int>& ranks, double start) {
+        ++run.body_calls;
+        return tenant(cluster, spec, ranks, start);
+      };
+  const auto t0 = std::chrono::steady_clock::now();
+  simnet::replay_trace(topo, trace, counted,
+                       simnet::PlacementPolicy::kSpread);
+  run.wall_s = std::chrono::duration<double>(
+                   std::chrono::steady_clock::now() - t0)
+                   .count();
+  run.events_per_s = static_cast<double>(run.body_calls) / run.wall_s;
+  return run;
 }
 
 }  // namespace
@@ -143,6 +186,28 @@ int main(int argc, char** argv) {
                "phase, so contention on\nthe shared uplinks drops and "
                "goodput rises.\n";
 
+  std::vector<ScalingRun> scaling;
+  if (flags.get_bool("scaling")) {
+    for (const int n : {1000, 10000}) {
+      scaling.push_back(scaling_run(topo, trace_options, n));
+    }
+    std::cout << "\n=== Replay scaling (wall clock): spread placement, "
+                 "same seed and arrival rate ===\n\n";
+    TablePrinter stable({"Jobs", "Wall (s)", "Body calls", "Events/s"});
+    for (const ScalingRun& r : scaling) {
+      stable.add_row({std::to_string(r.jobs), TablePrinter::fmt(r.wall_s, 2),
+                      std::to_string(r.body_calls),
+                      TablePrinter::fmt(r.events_per_s, 0)});
+    }
+    stable.print(std::cout);
+    std::cout << "\nEvents/s at 10k jobs is "
+              << TablePrinter::fmt(
+                     scaling[1].events_per_s / scaling[0].events_per_s, 2)
+              << "x of 1k: the ports forget every reservation older than "
+                 "the scheduler's\nwatermark, so a flow scans only the "
+                 "live jobs however long the trace.\n";
+  }
+
   if (!json_path.empty()) {
     std::FILE* json = std::fopen(json_path.c_str(), "w");
     if (json != nullptr) {
@@ -187,10 +252,25 @@ int main(int argc, char** argv) {
           "    \"fp32\": {\"goodput\": %.9g, \"mean_slowdown\": %.9g, "
           "\"p99_jct\": %.9g, \"makespan\": %.9g},\n"
           "    \"fp16\": {\"goodput\": %.9g, \"mean_slowdown\": %.9g, "
-          "\"p99_jct\": %.9g, \"makespan\": %.9g}\n  }\n}\n",
+          "\"p99_jct\": %.9g, \"makespan\": %.9g}\n  }",
           fp32_replay.goodput, fp32_replay.mean_slowdown, fp32_replay.p99_jct,
           fp32_replay.makespan, fp16_replay.goodput, fp16_replay.mean_slowdown,
           fp16_replay.p99_jct, fp16_replay.makespan);
+      if (!scaling.empty()) {
+        // Wall clocks, outside "sim": the 1e-6 gate never sees them.
+        std::fprintf(json, ",\n  \"scaling\": {\n    \"policy\": "
+                           "\"spread\",\n    \"runs\": [\n");
+        for (size_t i = 0; i < scaling.size(); ++i) {
+          const ScalingRun& r = scaling[i];
+          std::fprintf(json,
+                       "      {\"jobs\": %d, \"wall_s\": %.6g, "
+                       "\"body_calls\": %lld, \"events_per_s\": %.6g}%s\n",
+                       r.jobs, r.wall_s, r.body_calls, r.events_per_s,
+                       i + 1 < scaling.size() ? "," : "");
+        }
+        std::fprintf(json, "    ]\n  }");
+      }
+      std::fprintf(json, "\n}\n");
       std::fclose(json);
       std::printf("wrote %s\n", json_path.c_str());
     }

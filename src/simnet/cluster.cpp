@@ -11,16 +11,22 @@ namespace hitopk::simnet {
 // ------------------------------------------------------------ PortTimeline
 
 PortTimeline::Lane& PortTimeline::lane(int job) {
-  for (Lane& l : lanes_) {
-    if (l.job == job) return l;
+  for (size_t i = 0; i < live_; ++i) {
+    if (lanes_[i].job == job) return lanes_[i];
   }
-  lanes_.push_back(Lane{job, 0.0, {}});
-  return lanes_.back();
+  // Reuse a retired lane's slot and its interval capacity, so retirement
+  // in steady state allocates nothing.
+  if (live_ == lanes_.size()) lanes_.emplace_back();
+  Lane& l = lanes_[live_++];
+  l.job = job;
+  l.free = 0.0;
+  l.intervals.clear();
+  return l;
 }
 
 const PortTimeline::Lane* PortTimeline::find(int job) const {
-  for (const Lane& l : lanes_) {
-    if (l.job == job) return &l;
+  for (size_t i = 0; i < live_; ++i) {
+    if (lanes_[i].job == job) return &lanes_[i];
   }
   return nullptr;
 }
@@ -31,8 +37,10 @@ double PortTimeline::free_at(int job) const {
 }
 
 int PortTimeline::sharers(int job, double begin, double end) const {
+  if (end <= begin) return 0;  // an empty window overlaps nothing
   int count = 0;
-  for (const Lane& l : lanes_) {
+  for (size_t i = 0; i < live_; ++i) {
+    const Lane& l = lanes_[i];
     if (l.job == job) continue;
     // First interval ending after `begin` (intervals are sorted and
     // disjoint); it is the only one that can overlap [begin, end).
@@ -56,14 +64,29 @@ void PortTimeline::reserve(int job, double begin, double end) {
     return;
   }
   l.intervals.push_back({begin, end});
-  if (l.intervals.size() > kMaxIntervals) {
-    l.intervals.erase(l.intervals.begin());
+}
+
+void PortTimeline::retire_before(double t) {
+  for (size_t i = 0; i < live_;) {
+    Lane& l = lanes_[i];
+    if (l.free <= t) {
+      // Every interval ends by l.free <= t, and a later start >= t already
+      // dominates the clock: the lane is invisible from here on.
+      retired_free_ = std::max(retired_free_, l.free);
+      std::swap(l, lanes_[--live_]);
+      continue;
+    }
+    const auto live = std::partition_point(
+        l.intervals.begin(), l.intervals.end(),
+        [t](const Interval& iv) { return iv.end <= t; });
+    l.intervals.erase(l.intervals.begin(), live);
+    ++i;
   }
 }
 
 double PortTimeline::max_free() const {
-  double t = 0.0;
-  for (const Lane& l : lanes_) t = std::max(t, l.free);
+  double t = retired_free_;
+  for (size_t i = 0; i < live_; ++i) t = std::max(t, lanes_[i].free);
   return t;
 }
 
@@ -91,6 +114,7 @@ Cluster::Cluster(Topology topology)
 }
 
 void Cluster::reset() {
+  watermark_ = 0.0;
   for (auto& p : gpu_ports_) p = Port{};
   for (auto& p : nic_send_) p.clear();
   for (auto& p : nic_recv_) p.clear();
@@ -113,6 +137,9 @@ FlowOutcome Cluster::submit(const Flow& flow) {
   HITOPK_CHECK(src >= 0 && src < world_size());
   HITOPK_CHECK(dst >= 0 && dst < world_size());
   HITOPK_CHECK_NE(src, dst);
+  HITOPK_CHECK(flow.ready >= watermark_)
+      << "flow ready at" << flow.ready << "before the retired watermark"
+      << watermark_;
 
   const bool crosses_node = !topology_.same_node(src, dst);
   const LinkParams& link = topology_.link_between(src, dst);
@@ -305,6 +332,15 @@ void Cluster::write_chrome_trace(std::ostream& os,
        << ",\"share\":" << event.share << "}}";
   }
   os << "\n]}\n";
+}
+
+void Cluster::retire_before(double t) {
+  watermark_ = std::max(watermark_, t);
+  for (auto& p : nic_send_) p.retire_before(watermark_);
+  for (auto& p : nic_recv_) p.retire_before(watermark_);
+  for (auto& p : pod_send_) p.retire_before(watermark_);
+  for (auto& p : pod_recv_) p.retire_before(watermark_);
+  core_.retire_before(watermark_);
 }
 
 double Cluster::compute(double ready, double duration) {

@@ -103,22 +103,37 @@ struct TraceEvent {
 // merged intervals the job's flows have reserved; cross-job contention is
 // answered by counting *other* jobs with reservations overlapping a
 // window.  Back-to-back reservations of one job merge into a single
-// interval, so a busy streak costs O(1) memory, and each lane keeps at most
-// kMaxIntervals intervals (oldest dropped — older history can only be
-// overlapped by flows that have already been submitted).
+// interval, so a busy streak costs O(1) memory.
+//
+// History is unbounded until the owner declares a watermark t through
+// retire_before(t): the promise that no later query or reservation starts
+// before t.  Retirement drops every lane whose free-at clock is <= t and
+// every interval ending <= t; neither can overlap a window [b, e) with
+// b >= t, nor raise a later start max(b, free_at(job)), so every answer
+// after the call is the one the full history would give.  The JobScheduler
+// retires at its smallest running clock, so a port holds only the jobs
+// that are live on it.
 class PortTimeline {
  public:
   // Earliest instant `job` may start its next flow through this port.
   double free_at(int job) const;
   // Number of distinct jobs other than `job` holding a reservation
-  // overlapping [begin, end).
+  // overlapping [begin, end) (0 when the window is empty).
   int sharers(int job, double begin, double end) const;
   // Records that the port serves `job` on [begin, end) and advances the
   // job's free-at clock to `end`.  begin must be >= free_at(job).
   void reserve(int job, double begin, double end);
-  void clear() { lanes_.clear(); }
-  // Largest free-at clock over every job (quiescence).
+  // Drops the history no window starting at or after `t` can see.
+  void retire_before(double t);
+  void clear() {
+    live_ = 0;
+    retired_free_ = 0.0;
+  }
+  // Largest free-at clock over every job, retired lanes included
+  // (quiescence).
   double max_free() const;
+  // Jobs holding a lane (not yet retired) on this port.
+  size_t lanes() const { return live_; }
 
  private:
   struct Interval {
@@ -130,12 +145,14 @@ class PortTimeline {
     double free = 0.0;
     std::vector<Interval> intervals;  // sorted, disjoint, merged
   };
-  static constexpr size_t kMaxIntervals = 64;
 
   Lane& lane(int job);
   const Lane* find(int job) const;
 
-  std::vector<Lane> lanes_;  // few jobs per port: linear scan
+  std::vector<Lane> lanes_;  // [0, live_): live jobs, scanned linearly;
+                             // the rest are spare retired slots
+  size_t live_ = 0;
+  double retired_free_ = 0.0;  // largest free-at clock of a retired lane
 };
 
 class Cluster {
@@ -154,6 +171,14 @@ class Cluster {
   // plan installed, a flow touching a preempted rank returns
   // delivered=false without mutating any state.
   FlowOutcome submit(const Flow& flow);
+
+  // Declares a watermark: no flow submitted from now on is ready before
+  // `t` (submit() checks it).  Every contended port drops the reservation
+  // history no such flow can see (PortTimeline::retire_before), so later
+  // flows scan only the jobs still live on a port; every clock stays
+  // exactly what the full history gives.  The watermark only rises;
+  // reset() clears it.
+  void retire_before(double t);
 
   // Installs a fault script (non-owning; nullptr disables).  The plan is
   // kept across reset() so a reset cluster replays the same script.
@@ -210,6 +235,7 @@ class Cluster {
   PortTimeline core_;             // shared fat-tree core (oversub > 1, 1 pod)
   double core_beta_ = 0.0;        // seconds/byte of the aggregate core
   double uplink_beta_ = 0.0;      // seconds/byte of one pod uplink
+  double watermark_ = 0.0;        // see retire_before()
   size_t inter_node_bytes_ = 0;
   size_t intra_node_bytes_ = 0;
   std::map<int, JobTraffic> traffic_;  // ordered: deterministic iteration

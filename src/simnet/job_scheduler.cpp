@@ -26,16 +26,16 @@ JobScheduler::JobScheduler(Cluster& cluster, JobSchedulerOptions options)
       options_(options),
       busy_(static_cast<size_t>(cluster.world_size()), 0) {}
 
-int JobScheduler::free_on_node(int node) const {
-  const Topology& topo = cluster_.topology();
+namespace {
+
+int free_on_node(const Topology& topo, const std::vector<char>& busy,
+                 int node) {
   int free = 0;
   for (int local = 0; local < topo.gpus_on_node(node); ++local) {
-    if (rank_free(topo.rank_of(node, local))) ++free;
+    if (!busy[static_cast<size_t>(topo.rank_of(node, local))]) ++free;
   }
   return free;
 }
-
-namespace {
 
 // Takes up to `want` free ranks from `node` (lowest local rank first),
 // marking them busy so repeated takes from one node within a single
@@ -57,16 +57,17 @@ int take_from_node(const Topology& topo, std::vector<char>& busy, int node,
 
 }  // namespace
 
-std::vector<int> JobScheduler::place(int gpus) const {
-  const Topology& topo = cluster_.topology();
+std::vector<int> place_gang(const Topology& topo, PlacementPolicy policy,
+                            const std::vector<char>& busy, int gpus) {
   HITOPK_CHECK(gpus >= 1 && gpus <= topo.world_size())
       << "gang of " << gpus << " GPUs can never fit a world of "
       << topo.world_size();
+  HITOPK_CHECK_EQ(busy.size(), static_cast<size_t>(topo.world_size()));
 
   std::vector<int> node_free(static_cast<size_t>(topo.nodes()));
   int total_free = 0;
   for (int n = 0; n < topo.nodes(); ++n) {
-    node_free[static_cast<size_t>(n)] = free_on_node(n);
+    node_free[static_cast<size_t>(n)] = free_on_node(topo, busy, n);
     total_free += node_free[static_cast<size_t>(n)];
   }
   if (total_free < gpus) return {};
@@ -74,8 +75,8 @@ std::vector<int> JobScheduler::place(int gpus) const {
   std::vector<int> ranks;
   ranks.reserve(static_cast<size_t>(gpus));
   // Scratch occupancy: taken ranks are marked here so one placement never
-  // hands a rank out twice; the real busy_ map is updated on admission.
-  std::vector<char> scratch = busy_;
+  // hands a rank out twice; the caller's map is updated on admission.
+  std::vector<char> scratch = busy;
 
   // Fills `want` GPUs from the nodes of `pod` (pod < 0: every node),
   // fragments first (best-fit: least free GPUs, ties on node id).
@@ -97,7 +98,7 @@ std::vector<int> JobScheduler::place(int gpus) const {
     }
   };
 
-  switch (options_.policy) {
+  switch (policy) {
     case PlacementPolicy::kSpread: {
       // One GPU at a time from the node with the most free GPUs.
       int want = gpus;
@@ -172,21 +173,29 @@ std::vector<int> JobScheduler::place(int gpus) const {
   return ranks;
 }
 
-void JobScheduler::admit_from_queue(const JobBody& /*body*/, double now) {
-  for (size_t qi = 0; qi < queue_.size();) {
-    JobRecord& rec = records_[queue_[qi]];
-    std::vector<int> ranks = place(rec.spec.gpus);
-    if (ranks.empty()) {
-      if (!options_.backfill) return;  // strict FIFO: blocked head blocks all
-      ++qi;
+void JobScheduler::admit_from_queue(double now) {
+  // Every policy places a gang exactly when enough GPUs are free (spread
+  // takes one GPU at a time; the others fall back to global packing), so
+  // the free count decides admission and placement runs only for admitted
+  // jobs.  Kept jobs compact to the front of the queue in arrival order.
+  int free = static_cast<int>(std::count(busy_.begin(), busy_.end(), 0));
+  bool blocked = false;
+  size_t kept = 0;
+  for (const size_t job : queue_) {
+    JobRecord& rec = records_[job];
+    if (blocked || rec.spec.gpus > free) {
+      blocked = !options_.backfill;  // strict FIFO: blocked head blocks all
+      queue_[kept++] = job;
       continue;
     }
-    for (int r : ranks) busy_[static_cast<size_t>(r)] = 1;
-    rec.ranks = std::move(ranks);
+    rec.ranks =
+        place_gang(cluster_.topology(), options_.policy, busy_, rec.spec.gpus);
+    for (int r : rec.ranks) busy_[static_cast<size_t>(r)] = 1;
+    free -= rec.spec.gpus;
     rec.start = now;
-    running_.push_back(Running{queue_[qi], now, rec.spec.iterations});
-    queue_.erase(queue_.begin() + static_cast<long>(qi));
+    running_.push_back(Running{job, now, rec.spec.iterations});
   }
+  queue_.resize(kept);
 }
 
 std::vector<JobRecord> JobScheduler::run(const std::vector<JobSpec>& jobs,
@@ -199,6 +208,9 @@ std::vector<JobRecord> JobScheduler::run(const std::vector<JobSpec>& jobs,
   records_.reserve(jobs.size());
   for (const JobSpec& spec : jobs) {
     HITOPK_CHECK(spec.iterations >= 1);
+    HITOPK_CHECK(spec.gpus >= 1 && spec.gpus <= cluster_.world_size())
+        << "gang of " << spec.gpus << " GPUs can never fit a world of "
+        << cluster_.world_size();
     JobRecord rec;
     rec.spec = spec;
     records_.push_back(std::move(rec));
@@ -239,11 +251,15 @@ std::vector<JobRecord> JobScheduler::run(const std::vector<JobSpec>& jobs,
           << "scheduler deadlock: queued jobs but nothing running";
       queue_.push_back(arrivals[next_arrival]);
       ++next_arrival;
-      admit_from_queue(body, arrival_t);
+      admit_from_queue(arrival_t);
       continue;
     }
 
-    // Advance the earliest running job by one iteration.
+    // Advance the earliest running job by one iteration.  Its clock is a
+    // watermark: every running clock is >= run_t, and every arrival still
+    // to come (hence every admission) is > run_t, so no later flow is
+    // ready before it and the ports may forget the history that ends there.
+    cluster_.retire_before(run_t);
     Running& r = running_[run_i];
     JobRecord& rec = records_[r.job];
     const JobIteration it = body(cluster_, rec.spec, rec.ranks, r.clock);
@@ -259,7 +275,7 @@ std::vector<JobRecord> JobScheduler::run(const std::vector<JobSpec>& jobs,
     if (it.aborted || r.remaining == 0) {
       for (int rank : rec.ranks) busy_[static_cast<size_t>(rank)] = 0;
       running_.erase(running_.begin() + static_cast<long>(run_i));
-      admit_from_queue(body, it.finish);
+      admit_from_queue(it.finish);
     }
   }
 

@@ -11,7 +11,8 @@
 // The scheduler is an event-driven simulation in one OS thread:
 //
 //   - Jobs arrive at scripted instants (JobSpec::arrival) and queue FIFO.
-//   - Admission scans the queue in arrival order whenever GPUs free up; with
+//   - Admission scans the queue in arrival order whenever GPUs free up; a
+//     job fits exactly when enough GPUs are free (see place_gang).  With
 //     backfill enabled (default) a later job that fits may jump a blocked
 //     head-of-line job, otherwise admission is strict FIFO.
 //   - Placement maps a job to a concrete rank set via one of three gang
@@ -57,6 +58,14 @@ namespace hitopk::simnet {
 enum class PlacementPolicy : uint8_t { kPackByPod, kSpread, kLocalityAware };
 
 const char* placement_policy_name(PlacementPolicy policy);
+
+// Places a gang of `gpus` on the ranks with busy[rank] == 0 under `policy`
+// and returns the rank set, sorted ascending.  The result is empty exactly
+// when fewer than `gpus` ranks are free: spread takes one GPU at a time,
+// and the other two policies fall back to packing across the whole world.
+// Throws CheckError when `gpus` is outside [1, world size].
+std::vector<int> place_gang(const Topology& topo, PlacementPolicy policy,
+                            const std::vector<char>& busy, int gpus);
 
 // One job of a replay trace.  `isolated_seconds`, when > 0, is the job's
 // runtime on an otherwise-idle cluster (filled in by replay_trace for
@@ -108,14 +117,12 @@ class JobScheduler {
   JobScheduler(Cluster& cluster, JobSchedulerOptions options = {});
 
   // Runs every job to completion (or abort) and returns one record per
-  // job, in job-id order.  Jobs need not arrive sorted.
+  // job, in job-id order.  Jobs need not arrive sorted.  Before each
+  // iteration it retires the cluster's port history at the clock of the
+  // job it advances (Cluster::retire_before), so flows scan only live
+  // jobs; reset() the cluster before running a trace that starts earlier.
   std::vector<JobRecord> run(const std::vector<JobSpec>& jobs,
                              const JobBody& body);
-
-  // Places a gang of `gpus` on the currently-free GPUs under the configured
-  // policy; returns the rank set (sorted ascending) or empty when it does
-  // not fit.  Exposed for tests; run() uses it internally.
-  std::vector<int> place(int gpus) const;
 
  private:
   struct Running {
@@ -124,9 +131,7 @@ class JobScheduler {
     int remaining = 0;     // iterations left
   };
 
-  bool rank_free(int rank) const { return !busy_[static_cast<size_t>(rank)]; }
-  int free_on_node(int node) const;
-  void admit_from_queue(const JobBody& body, double now);
+  void admit_from_queue(double now);
 
   Cluster& cluster_;
   JobSchedulerOptions options_;

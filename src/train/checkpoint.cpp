@@ -145,25 +145,29 @@ CheckpointReader::CheckpointReader(std::span<const uint8_t> blob) {
 
     Record record;
     record.type = type;
+    void* dst = nullptr;
     switch (type) {
       case kTypeU64:
         HITOPK_VALIDATE(payload_bytes % sizeof(uint64_t) == 0);
         record.u.resize(payload_bytes / sizeof(uint64_t));
-        std::memcpy(record.u.data(), payload.data(), payload_bytes);
+        dst = record.u.data();
         break;
       case kTypeF64:
         HITOPK_VALIDATE(payload_bytes % sizeof(double) == 0);
         record.d.resize(payload_bytes / sizeof(double));
-        std::memcpy(record.d.data(), payload.data(), payload_bytes);
+        dst = record.d.data();
         break;
       case kTypeF32:
         HITOPK_VALIDATE(payload_bytes % sizeof(float) == 0);
         record.f.resize(payload_bytes / sizeof(float));
-        std::memcpy(record.f.data(), payload.data(), payload_bytes);
+        dst = record.f.data();
         break;
       default:
         HITOPK_VALIDATE(false) << "unknown checkpoint record type for" << name;
     }
+    // An empty record's vector may hand out a null data(), and memcpy with
+    // a null pointer is undefined even for zero bytes.
+    if (payload_bytes > 0) std::memcpy(dst, payload.data(), payload_bytes);
     HITOPK_VALIDATE(records_.emplace(name, std::move(record)).second)
         << "duplicate checkpoint record" << name;
     names_.push_back(std::move(name));

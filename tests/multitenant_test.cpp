@@ -14,13 +14,16 @@
 //     exactly (2n-1)*T and 2n*T (each job ~2x its isolated pace).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "collectives/planner.h"
 #include "core/check.h"
+#include "core/rng.h"
 #include "simnet/cluster.h"
 #include "simnet/fault.h"
 #include "simnet/job_scheduler.h"
@@ -185,16 +188,164 @@ TEST(Accounting, ChromeTraceGetsPerJobTracks) {
   EXPECT_EQ(os2.str().find("/job"), std::string::npos);
 }
 
+// ------------------------------------------------- port history retirement
+
+// Brute-force reference for PortTimeline::sharers: every reservation ever
+// made, never merged and never forgotten.
+struct TimelineOracle {
+  struct Reservation {
+    int job;
+    double begin;
+    double end;
+  };
+  std::vector<Reservation> all;
+
+  int sharers(int job, double begin, double end) const {
+    std::set<int> jobs;
+    for (const Reservation& r : all) {
+      if (r.job != job && r.begin < end && begin < r.end) jobs.insert(r.job);
+    }
+    return static_cast<int>(jobs.size());
+  }
+};
+
+TEST(PortTimelineRetirement, SeventyDisjointReservationsKeepTheFirst) {
+  // A per-lane interval cap would drop job 1's oldest reservation [0, 0.5)
+  // and miss the overlap; the timeline keeps every interval until a
+  // watermark retires it.
+  PortTimeline port;
+  for (int i = 0; i < 70; ++i) port.reserve(1, i, i + 0.5);
+  EXPECT_EQ(port.sharers(2, 0.25, 0.75), 1);
+}
+
+TEST(PortTimelineRetirement, RandomReservationsMatchBruteForceOracle) {
+  // Random reservations by several jobs on a quarter-second grid (so
+  // back-to-back merges and windows starting exactly at the watermark are
+  // common) under a rising watermark.  Every query window starting at or
+  // after the watermark must see exactly what the full history shows.
+  constexpr int kJobs = 6;
+  constexpr double kQ = 0.25;
+  Rng rng(20261017);
+  PortTimeline port;
+  TimelineOracle oracle;
+  std::vector<double> clock(kJobs, 0.0);  // each job's own free-at clock
+  double watermark = 0.0;
+  int queries = 0;
+  size_t max_lanes = 0;
+  size_t min_lanes_after_retire = kJobs;
+  for (int step = 0; step < 4000; ++step) {
+    const int job = static_cast<int>(rng.uniform_index(kJobs));
+    const double u = rng.uniform();
+    if (u < 0.5) {
+      const double begin = std::max(clock[job], watermark) +
+                           kQ * static_cast<double>(rng.uniform_index(3));
+      const double end =
+          begin + kQ * static_cast<double>(1 + rng.uniform_index(8));
+      port.reserve(job, begin, end);
+      oracle.all.push_back({job, begin, end});
+      clock[job] = end;
+      max_lanes = std::max(max_lanes, port.lanes());
+    } else if (u < 0.6) {
+      watermark += kQ * static_cast<double>(rng.uniform_index(9));
+      const double quiescent = port.max_free();
+      port.retire_before(watermark);
+      EXPECT_EQ(port.max_free(), quiescent) << "step " << step;
+      min_lanes_after_retire = std::min(min_lanes_after_retire, port.lanes());
+    } else {
+      const double begin =
+          watermark + kQ * static_cast<double>(rng.uniform_index(17));
+      const double end =
+          begin + kQ * static_cast<double>(1 + rng.uniform_index(8));
+      ASSERT_EQ(port.sharers(job, begin, end),
+                oracle.sharers(job, begin, end))
+          << "step " << step << " job " << job << " [" << begin << ", "
+          << end << ") watermark " << watermark;
+      // A retired clock is <= the watermark, so a later start (>= the
+      // watermark) sees the same bound.
+      EXPECT_EQ(std::max(watermark, port.free_at(job)),
+                std::max(watermark, clock[job]));
+      ++queries;
+    }
+  }
+  EXPECT_GT(queries, 1000);
+  // Retirement took effect: some watermark emptied lanes out.
+  EXPECT_EQ(max_lanes, static_cast<size_t>(kJobs));
+  EXPECT_LT(min_lanes_after_retire, static_cast<size_t>(kJobs));
+  // Retiring at the last clock drops every lane; quiescence remembers it.
+  const double quiescent = port.max_free();
+  EXPECT_EQ(quiescent, *std::max_element(clock.begin(), clock.end()));
+  port.retire_before(quiescent);
+  EXPECT_EQ(port.lanes(), 0u);
+  EXPECT_EQ(port.max_free(), quiescent);
+}
+
+TEST(ClusterRetirement, RetiredClusterMatchesFullHistory) {
+  // Two clusters take the same multi-job flow sequence on an
+  // oversubscribed pod fabric; one retires at a rising watermark that
+  // never passes the next flow's ready time.  Every outcome matches the
+  // cluster that keeps its full history, bit for bit.
+  Cluster full(podded());
+  Cluster retired(podded());
+  Rng rng(7);
+  double ready = 0.0;
+  int shared_flows = 0;
+  for (int i = 0; i < 3000; ++i) {
+    ready += 2e-5 * rng.uniform();
+    if (i % 7 == 0) retired.retire_before(ready);
+    Flow flow;
+    flow.job = 1 + static_cast<int>(rng.uniform_index(5));
+    flow.src = static_cast<int>(rng.uniform_index(16));
+    flow.dst = static_cast<int>(rng.uniform_index(15));
+    if (flow.dst >= flow.src) ++flow.dst;
+    flow.bytes = 1024 * (1 + rng.uniform_index(256));
+    flow.ready = ready;
+    const FlowOutcome a = full.submit(flow);
+    const FlowOutcome b = retired.submit(flow);
+    ASSERT_EQ(a.start, b.start) << "flow " << i;
+    ASSERT_EQ(a.time, b.time) << "flow " << i;
+    ASSERT_EQ(a.share, b.share) << "flow " << i;
+    if (a.share > 1.0) ++shared_flows;
+  }
+  EXPECT_GT(shared_flows, 100);  // the fabric really was contended
+  EXPECT_EQ(full.quiescent_time(), retired.quiescent_time());
+}
+
+TEST(ClusterRetirement, QuiescenceSurvivesAndWatermarkIsEnforced) {
+  Cluster cluster(podded());
+  cluster.submit({1, 0, 4, 1 << 20, 0.0});
+  cluster.submit({2, 8, 12, 1 << 22, 0.0});
+  const double quiescent = cluster.quiescent_time();
+  ASSERT_GT(quiescent, 0.0);
+  // Retiring past every reservation drops every lane, but quiescence
+  // remembers the largest retired clock.
+  cluster.retire_before(quiescent * 0.5);
+  EXPECT_EQ(cluster.quiescent_time(), quiescent);
+  cluster.retire_before(quiescent + 1.0);
+  EXPECT_EQ(cluster.quiescent_time(), quiescent);
+  // The watermark only rises, and flows may not start before it.
+  cluster.retire_before(0.0);
+  EXPECT_THROW(cluster.submit({1, 0, 4, 1024, quiescent}), CheckError);
+  EXPECT_NO_THROW(cluster.submit({1, 0, 4, 1024, quiescent + 1.0}));
+  // reset() forgets the watermark with the rest of the history.
+  cluster.reset();
+  EXPECT_EQ(cluster.quiescent_time(), 0.0);
+  EXPECT_NO_THROW(cluster.submit({1, 0, 4, 1024, 0.0}));
+}
+
 // ------------------------------------------------- placement policies
 
+// Occupancy of a world with every GPU free.
+std::vector<char> all_free(const Topology& topo) {
+  return std::vector<char>(static_cast<size_t>(topo.world_size()), 0);
+}
+
 TEST(Placement, LocalityAwarePrefersOneNodeThenOnePod) {
-  Cluster cluster(podded());
-  JobScheduler sched(cluster, {PlacementPolicy::kLocalityAware, true});
-  const std::vector<int> gang4 = sched.place(4);
+  const Topology topo = podded();
+  const PlacementPolicy policy = PlacementPolicy::kLocalityAware;
+  const std::vector<int> gang4 = place_gang(topo, policy, all_free(topo), 4);
   ASSERT_EQ(gang4.size(), 4u);
-  const Topology& topo = cluster.topology();
   for (int r : gang4) EXPECT_TRUE(topo.same_node(gang4[0], r));
-  const std::vector<int> gang8 = sched.place(8);
+  const std::vector<int> gang8 = place_gang(topo, policy, all_free(topo), 8);
   ASSERT_EQ(gang8.size(), 8u);
   for (int r : gang8) {
     EXPECT_TRUE(topo.same_pod(topo.node_of(gang8[0]), topo.node_of(r)));
@@ -202,11 +353,10 @@ TEST(Placement, LocalityAwarePrefersOneNodeThenOnePod) {
 }
 
 TEST(Placement, SpreadMaximizesNodeFanout) {
-  Cluster cluster(podded());
-  JobScheduler sched(cluster, {PlacementPolicy::kSpread, true});
-  const std::vector<int> gang4 = sched.place(4);
+  const Topology topo = podded();
+  const std::vector<int> gang4 =
+      place_gang(topo, PlacementPolicy::kSpread, all_free(topo), 4);
   ASSERT_EQ(gang4.size(), 4u);
-  const Topology& topo = cluster.topology();
   for (size_t i = 0; i < gang4.size(); ++i) {
     for (size_t j = i + 1; j < gang4.size(); ++j) {
       EXPECT_FALSE(topo.same_node(gang4[i], gang4[j]));
@@ -215,21 +365,66 @@ TEST(Placement, SpreadMaximizesNodeFanout) {
 }
 
 TEST(Placement, PackByPodStaysInsideOnePod) {
-  Cluster cluster(podded());
-  JobScheduler sched(cluster, {PlacementPolicy::kPackByPod, true});
-  const std::vector<int> gang8 = sched.place(8);
+  const Topology topo = podded();
+  const std::vector<int> gang8 =
+      place_gang(topo, PlacementPolicy::kPackByPod, all_free(topo), 8);
   ASSERT_EQ(gang8.size(), 8u);
-  const Topology& topo = cluster.topology();
   for (int r : gang8) {
     EXPECT_TRUE(topo.same_pod(topo.node_of(gang8[0]), topo.node_of(r)));
   }
 }
 
 TEST(Placement, ReturnsEmptyWhenFullAndThrowsWhenImpossible) {
-  Cluster cluster(tiny());
-  JobScheduler sched(cluster, {});
-  EXPECT_EQ(sched.place(4).size(), 4u);  // fits an empty world
-  EXPECT_THROW(sched.place(5), CheckError);
+  const Topology topo = tiny();
+  const PlacementPolicy policy = PlacementPolicy::kPackByPod;
+  EXPECT_EQ(place_gang(topo, policy, all_free(topo), 4).size(), 4u);
+  const std::vector<char> full(4, 1);
+  EXPECT_TRUE(place_gang(topo, policy, full, 1).empty());
+  EXPECT_THROW(place_gang(topo, policy, all_free(topo), 5), CheckError);
+  // The scheduler rejects such a gang up front instead of queueing it.
+  Cluster cluster(topo);
+  const JobBody body = [](Cluster&, const JobSpec&, const std::vector<int>&,
+                          double start) { return JobIteration{start, false}; };
+  EXPECT_THROW(JobScheduler(cluster, {}).run({{1, 0.0, 5, 1, 0, 0.0}}, body),
+               CheckError);
+}
+
+TEST(Placement, GangFitsExactlyWhenEnoughGpusAreFree) {
+  // The scheduler admits on the free-GPU count alone, which is sound only
+  // if every policy places a gang exactly when enough GPUs are free.
+  const Topology topos[] = {
+      tiny(), podded(),
+      Topology({8, 8, 4, 4, 2}, LinkParams{1e-6, 1e-9},
+               LinkParams{1e-5, 1e-8}, 0.0, 2.0, /*nodes_per_pod=*/2)};
+  const PlacementPolicy policies[] = {PlacementPolicy::kPackByPod,
+                                      PlacementPolicy::kSpread,
+                                      PlacementPolicy::kLocalityAware};
+  Rng rng(424242);
+  for (const Topology& topo : topos) {
+    const int world = topo.world_size();
+    for (int trial = 0; trial < 40; ++trial) {
+      const double p_busy = rng.uniform();
+      std::vector<char> busy(static_cast<size_t>(world));
+      int free = 0;
+      for (char& b : busy) {
+        b = rng.uniform() < p_busy ? 1 : 0;
+        free += b == 0 ? 1 : 0;
+      }
+      for (const PlacementPolicy policy : policies) {
+        for (int g = 1; g <= world; ++g) {
+          const std::vector<int> gang = place_gang(topo, policy, busy, g);
+          ASSERT_EQ(gang.empty(), free < g)
+              << placement_policy_name(policy) << " g=" << g
+              << " free=" << free << " world=" << world;
+          if (gang.empty()) continue;
+          ASSERT_EQ(gang.size(), static_cast<size_t>(g));
+          EXPECT_TRUE(std::is_sorted(gang.begin(), gang.end()));
+          EXPECT_EQ(std::adjacent_find(gang.begin(), gang.end()), gang.end());
+          for (int r : gang) EXPECT_FALSE(busy[static_cast<size_t>(r)]);
+        }
+      }
+    }
+  }
 }
 
 // ------------------------------------------------- scheduler event loop
