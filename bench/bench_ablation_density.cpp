@@ -37,7 +37,8 @@ int main() {
                                 topo.world_size();
     comm_table.add_row({TablePrinter::fmt(density, 4),
                         TablePrinter::fmt(b.total, 4),
-                        TablePrinter::fmt_percent(b.inter_allgather / b.total),
+                        TablePrinter::fmt_percent(
+                            b.seconds("inter_allgather") / b.total),
                         TablePrinter::fmt_percent(sparse_bytes / dense_bytes)});
   }
   comm_table.print(std::cout);

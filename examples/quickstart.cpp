@@ -78,6 +78,6 @@ int main() {
   std::cout << "On 16 nodes x 8 V100s over 25GbE, aggregating a 25M-param "
                "gradient takes "
             << timing.total * 1e3 << " ms (inter-node All-Gather: "
-            << timing.inter_allgather * 1e3 << " ms)\n";
+            << timing.seconds("inter_allgather") * 1e3 << " ms)\n";
   return 0;
 }

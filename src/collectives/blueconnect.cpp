@@ -83,7 +83,7 @@ size_t build_blueconnect(Schedule& sched, const simnet::Topology& topo,
     // overwrites with resolved copies on the way back up.
     build_ring_reduce_scatter(sched, groups, grids[s], stage_extents[s],
                               options.wire, /*fused_chains=*/true);
-    sched.sync(/*collapse=*/true);
+    sched.sync(/*collapse=*/true, "reduce_scatter");
     // Narrow every rank's extent by its stage digit.
     for (int r = 0; r < p; ++r) {
       const int digit = (r / stride[s]) % f;
@@ -100,32 +100,18 @@ size_t build_blueconnect(Schedule& sched, const simnet::Topology& topo,
   for (size_t s = S; s-- > 0;) {
     build_ring_allgather(sched, stage_groups[s], grids[s], stage_extents[s],
                          options.wire);
-    if (s > 0) sched.sync(/*collapse=*/true);
+    sched.sync(/*collapse=*/s > 0, "allgather");
   }
   return S;
 }
 
-BlueConnectBreakdown blueconnect_allreduce(simnet::Cluster& cluster,
-                                           const RankData& data, size_t elems,
-                                           const BlueConnectOptions& options,
-                                           double start) {
+PhaseReport blueconnect_allreduce(simnet::Cluster& cluster,
+                                  const RankData& data, size_t elems,
+                                  const BlueConnectOptions& options,
+                                  double start) {
   Schedule sched;
-  const size_t S =
-      build_blueconnect(sched, cluster.topology(), data, elems, options);
-
-  BlueConnectBreakdown out;
-  out.stages = S;
-  if (cluster.topology().world_size() <= 1) return out;
-
-  const Schedule::TimingResult timing = sched.run_timing(cluster, start);
-  sched.run_data();
-
-  // sync_times[S-1] is the Reduce-Scatter / All-Gather midpoint.
-  const double mid = timing.sync_times[S - 1];
-  out.reduce_scatter = mid - start;
-  out.allgather = timing.finish - mid;
-  out.total = timing.finish - start;
-  return out;
+  build_blueconnect(sched, cluster.topology(), data, elems, options);
+  return sched.run(cluster, start);
 }
 
 }  // namespace hitopk::coll

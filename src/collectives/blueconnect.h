@@ -34,17 +34,11 @@ struct BlueConnectOptions {
   WireDtype wire = WireDtype::kFp32;
 };
 
-struct BlueConnectBreakdown {
-  double total = 0.0;
-  double reduce_scatter = 0.0;  // all descending stages
-  double allgather = 0.0;       // all ascending stages
-  size_t stages = 0;
-};
-
 // Records the complete BlueConnect schedule (descending Reduce-Scatter
 // stages, then ascending All-Gather stages, with a collapse sync between
-// consecutive stages) into `sched` and returns the stage count S; replaying
-// it, sync_times[S-1] is the RS/AG midpoint.  Throws ConfigError when the
+// consecutive stages) into `sched` and returns the stage count S.  Every
+// stage closes its own "reduce_scatter" or "allgather" phase, so the
+// report's phase count per label is S.  Throws ConfigError when the
 // factors do not multiply to the world size (or auto-factorization meets an
 // uneven topology).  Exposed so the elastic layer can rebuild the schedule
 // for a surviving world after a preemption.
@@ -56,9 +50,9 @@ size_t build_blueconnect(Schedule& sched, const simnet::Topology& topo,
 // data[rank] (full `elems` floats) ends up holding the global sum (the
 // stage-wise float-add order: intra-stage ring order first, outer stages
 // over partial node sums).  Timing-only mode: data empty.
-BlueConnectBreakdown blueconnect_allreduce(simnet::Cluster& cluster,
-                                           const RankData& data, size_t elems,
-                                           const BlueConnectOptions& options,
-                                           double start);
+PhaseReport blueconnect_allreduce(simnet::Cluster& cluster,
+                                  const RankData& data, size_t elems,
+                                  const BlueConnectOptions& options,
+                                  double start);
 
 }  // namespace hitopk::coll

@@ -19,7 +19,7 @@ void build_ring_allreduce(Schedule& sched, const Group& group,
   const RingGrid grid = ring_grid(sched, groups, group_data, wire);
   build_ring_reduce_scatter(sched, groups, grid, elems, wire,
                             /*fused_chains=*/true);
-  sched.sync(/*collapse=*/true);
+  sched.sync(/*collapse=*/true, "reduce_scatter");
   build_ring_allgather(sched, groups, grid, elems, wire);
 }
 

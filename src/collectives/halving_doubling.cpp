@@ -124,9 +124,7 @@ double halving_doubling_allreduce(simnet::Cluster& cluster, const Group& group,
   if (group.size() <= 1) return start;
   Schedule sched;
   build_halving_doubling(sched, group, data, elems, wire);
-  const double done = sched.run_timing(cluster, start).finish;
-  sched.run_data();
-  return done;
+  return sched.run(cluster, start).finish;
 }
 
 }  // namespace hitopk::coll

@@ -38,7 +38,7 @@ void build_hier_allreduce(Schedule& sched, const simnet::Topology& topo,
     }
   }
   sched.end_step();
-  sched.sync(/*collapse=*/true);  // phase 1 done
+  sched.sync(/*collapse=*/true, "intra_reduce");
 
   // Phase 2: ring All-Reduce among the leaders (Reduce-Scatter, a
   // mid-point barrier, then the resolved All-Gather reusing the scattered
@@ -58,9 +58,9 @@ void build_hier_allreduce(Schedule& sched, const simnet::Topology& topo,
   const RingGrid grid = ring_grid(sched, leader_groups, leader_data, wire);
   build_ring_reduce_scatter(sched, leader_groups, grid, elems, wire,
                             /*fused_chains=*/true);
-  sched.sync(/*collapse=*/true);  // ring mid-point
+  sched.sync(/*collapse=*/true, "inter_allreduce");  // ring mid-point
   build_ring_allgather(sched, leader_groups, grid, elems, wire);
-  sched.sync(/*collapse=*/true);  // phase 2 done
+  sched.sync(/*collapse=*/true, "inter_allreduce");
 
   // Phase 3: leaders broadcast inside their node (resolved copies).
   for (int node = 0; node < m; ++node) {
@@ -79,24 +79,16 @@ void build_hier_allreduce(Schedule& sched, const simnet::Topology& topo,
       }
     }
   }
+  sched.end_step();
+  sched.sync(/*collapse=*/false, "intra_broadcast");
 }
 
-HierArBreakdown hier_allreduce(simnet::Cluster& cluster, const RankData& data,
-                               size_t elems, WireDtype wire, double start) {
+PhaseReport hier_allreduce(simnet::Cluster& cluster, const RankData& data,
+                           size_t elems, WireDtype wire, double start) {
   check_data(world_group(cluster.topology()), data, elems);
   Schedule sched;
   build_hier_allreduce(sched, cluster.topology(), data, elems, wire);
-  const Schedule::TimingResult timing = sched.run_timing(cluster, start);
-  sched.run_data();
-
-  HierArBreakdown out;
-  const double t1 = timing.sync_times[0];
-  const double t2 = timing.sync_times[2];
-  out.intra_reduce = t1 - start;
-  out.inter_allreduce = t2 - t1;
-  out.intra_broadcast = timing.finish - t2;
-  out.total = timing.finish - start;
-  return out;
+  return sched.run(cluster, start);
 }
 
 }  // namespace hitopk::coll

@@ -15,19 +15,13 @@
 
 namespace hitopk::coll {
 
-struct HierArBreakdown {
-  double intra_reduce = 0.0;
-  double inter_allreduce = 0.0;
-  double intra_broadcast = 0.0;
-  double total = 0.0;
-};
-
-HierArBreakdown hier_allreduce(simnet::Cluster& cluster, const RankData& data,
-                               size_t elems, WireDtype wire, double start);
+// Phases: "intra_reduce", "inter_allreduce" (closed twice: at the leaders'
+// ring mid-point and at its end), "intra_broadcast".
+PhaseReport hier_allreduce(simnet::Cluster& cluster, const RankData& data,
+                           size_t elems, WireDtype wire, double start);
 
 // Records the whole collective (leader fan-in, leaders' ring All-Reduce,
-// leader broadcast, with collapse syncs at the phase boundaries:
-// sync_times[0] ends phase 1, sync_times[2] ends phase 2) into a
+// leader broadcast, with collapse syncs at the phase boundaries) into a
 // caller-owned schedule.  Works on uneven topologies.  Exposed for the
 // planner (collectives/planner.h).
 void build_hier_allreduce(Schedule& sched, const simnet::Topology& topo,

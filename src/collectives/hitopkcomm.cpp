@@ -8,7 +8,6 @@
 #include "collectives/ring.h"
 #include "compress/mstopk.h"
 #include "core/parallel.h"
-#include "core/tensor.h"
 
 namespace hitopk::coll {
 namespace {
@@ -23,12 +22,6 @@ size_t shard_k(double density, size_t shard_elems) {
 // wire dtype (plus its per-block scale record), 4-byte indices.
 size_t sparse_payload_bytes(WireDtype wire, size_t nnz) {
   return wire_payload_bytes(wire, nnz) + nnz * 4;
-}
-
-// Scratch for staging a shard through the wire codec on the fan-in path.
-std::vector<float>& fanin_staging() {
-  thread_local std::vector<float> staging;
-  return staging;
 }
 
 // One stream's aggregated sparse result: globally-indexed, ascending,
@@ -157,35 +150,18 @@ void rebuild_from_compact(const RankData& data,
   });
 }
 
-// ======================= uniform fleets (n GPUs everywhere) ==============
-HiTopKBreakdown hitopk_uniform(simnet::Cluster& cluster, const RankData& data,
-                               size_t elems, const HiTopKOptions& options,
-                               double start) {
-  const simnet::Topology& topo = cluster.topology();
-  const int m = topo.nodes();
-  const int n = topo.gpus_per_node();
-  const int world = topo.world_size();
-  const bool functional = !data.empty();
-  const WireDtype wire = options.value_wire;
-
-  HiTopKBreakdown out;
-
-  // Owned-shard layout: GPU `local` of every node owns shard `local`.
-  std::vector<ChunkRange> shards(static_cast<size_t>(n));
-  for (int local = 0; local < n; ++local) {
-    shards[static_cast<size_t>(local)] =
-        chunk_range(elems, static_cast<size_t>(n), static_cast<size_t>(local));
-  }
-
-  // ---- Step 1: intra-node reduce-scatter (dense, Alg. 2 lines 2-4).
-  // The m per-node rings are one multi-group schedule (intra-node ports are
-  // disjoint across nodes), so each step's reduces across all nodes batch
-  // into a single parallel_for.
+// Step 1 on a uniform fleet: the m per-node ring Reduce-Scatters as one
+// multi-group schedule (intra-node ports are disjoint across nodes, so each
+// step's reduces across all nodes batch into one parallel_for).  GPU j of
+// every node ends up owning shard j summed over its node.
+void build_node_reduce_scatter(Schedule& sched, const simnet::Topology& topo,
+                               const RankData& data, size_t elems,
+                               WireDtype wire) {
   std::vector<Group> node_groups;
   std::vector<RankData> node_data;
-  for (int node = 0; node < m; ++node) {
+  for (int node = 0; node < topo.nodes(); ++node) {
     node_groups.push_back(node_group(topo, node));
-    if (functional) {
+    if (!data.empty()) {
       RankData nd;
       for (int rank : node_groups.back()) {
         nd.push_back(data[static_cast<size_t>(rank)]);
@@ -193,197 +169,59 @@ HiTopKBreakdown hitopk_uniform(simnet::Cluster& cluster, const RankData& data,
       node_data.push_back(std::move(nd));
     }
   }
-  Schedule sched;
   const RingGrid grid = ring_grid(sched, node_groups, node_data, wire);
   build_ring_reduce_scatter(sched, node_groups, grid, elems, wire,
                             /*fused_chains=*/true);
-  const double t1 = sched.run_timing(cluster, start).finish;
-  sched.run_data();
-  out.reduce_scatter = t1 - start;
-
-  // ---- Step 2: MSTopK on each GPU's owned shard (Alg. 2 lines 5-8).
-  // Per-rank sparse selection, indices local to the shard.
-  std::vector<compress::SparseTensor> selected(static_cast<size_t>(world));
-  size_t max_k = 0;
-  double mstopk_seconds = 0.0;
-  for (int local = 0; local < n; ++local) {
-    const ChunkRange& shard = shards[static_cast<size_t>(local)];
-    const size_t k = shard_k(options.density, shard.count);
-    max_k = std::max(max_k, k);
-    if (options.gpu != nullptr) {
-      mstopk_seconds = std::max(
-          mstopk_seconds, options.gpu->mstopk_seconds(shard.count, k,
-                                                      options.mstopk_samplings));
-    }
-  }
-  if (functional) {
-    // Error-feedback keys are per rank and constant across iterations:
-    // build each "<prefix>:<rank>" string once instead of re-concatenating
-    // it in the selection loop, and pre-create the residual entries so the
-    // parallel workers below only ever look them up (inserts would race).
-    std::vector<std::string> ef_keys;
-    if (options.error_feedback != nullptr) {
-      ef_keys.resize(static_cast<size_t>(world));
-      for (int rank = 0; rank < world; ++rank) {
-        ef_keys[static_cast<size_t>(rank)] =
-            options.ef_key_prefix + ":" + std::to_string(rank);
-        const ChunkRange& shard =
-            shards[static_cast<size_t>(topo.local_rank(rank))];
-        options.error_feedback->ensure(ef_keys[static_cast<size_t>(rank)],
-                                       shard.count);
-      }
-    }
-    // Every rank simulates an independent GPU: disjoint shard buffers,
-    // per-rank seeded RNG, per-rank residual entry.  The iterations commute,
-    // so the parallel execution is bitwise identical to the serial loop.
-    const compress::MsTopKMode mode = options.mstopk_histogram
-                                          ? compress::MsTopKMode::kHistogram
-                                          : compress::MsTopKMode::kMultiPass;
-    parallel_for(0, static_cast<size_t>(world), [&](size_t r) {
-      const int rank = static_cast<int>(r);
-      const ChunkRange& shard =
-          shards[static_cast<size_t>(topo.local_rank(rank))];
-      const size_t k = shard_k(options.density, shard.count);
-      auto shard_span = data[r].subspan(shard.begin, shard.count);
-      compress::MsTopK mstopk(options.mstopk_samplings,
-                              options.seed + static_cast<uint64_t>(rank),
-                              mode);
-      // Fused EF exchange: the shard is untouched between compensation and
-      // absorption, so priming the residual during apply saves absorb's
-      // full-shard copy.
-      if (options.error_feedback != nullptr) {
-        options.error_feedback->apply_priming(ef_keys[r], shard_span);
-      }
-      selected[r] = mstopk.compress(shard_span, k);
-      // Typed payloads: the values cross the wire in the selected dtype, so
-      // round them through the codec *before* error feedback absorbs the
-      // send — the residual then keeps the quantization error alongside the
-      // unselected coordinates.  A no-op for fp32.
-      wire_round_trip(wire, std::span<float>(selected[r].values));
-      if (options.error_feedback != nullptr) {
-        options.error_feedback->absorb_primed(ef_keys[r], selected[r]);
-      }
-    });
-  }
-  out.selected_per_shard = max_k;
-  const double t2 = simnet::Cluster::compute(t1, mstopk_seconds);
-  out.mstopk = t2 - t1;
-
-  // ---- Step 3: n concurrent inter-node all-gathers (Alg. 2 lines 11-14)
-  // plus local accumulation with duplicate-index adds (lines 15-20).
-  // Every rank of stream `local` computes the identical accumulation of the
-  // stream's m sparse blocks, so it is computed once per stream (not once
-  // per rank): the sorted blocks merge-accumulate into a compact stream
-  // (see merge_accumulate), which needs no dense buffer, no memset, and no
-  // full-shard rescan.  The owned shards tile [0, elems), so the streams
-  // together ARE the aggregated gradient and feed step 4's tiled scatter
-  // rebuild.  stream_nnz keeps the per-stream nonzero counts the step-4
-  // wire payloads need.
-  std::vector<CompactStream> streams(functional ? static_cast<size_t>(n) : 0);
-  std::vector<size_t> stream_nnz(static_cast<size_t>(n), 0);
-  std::vector<Group> stream_groups;
-  std::vector<std::vector<size_t>> stream_payloads;
-  std::vector<int> stream_locals;
-  for (int local = 0; local < n; ++local) {
-    const ChunkRange& shard = shards[static_cast<size_t>(local)];
-    if (shard.count == 0) continue;
-    Group group = cross_node_group(topo, local);
-    std::vector<size_t> payload(group.size());
-    for (size_t i = 0; i < group.size(); ++i) {
-      const size_t nnz = functional
-                             ? selected[static_cast<size_t>(group[i])].nnz()
-                             : shard_k(options.density, shard.count);
-      payload[i] = sparse_payload_bytes(wire, nnz);
-    }
-    stream_payloads.push_back(std::move(payload));
-    stream_groups.push_back(std::move(group));
-    stream_locals.push_back(local);
-  }
-  if (functional) {
-    parallel_for(0, stream_locals.size(), [&](size_t s) {
-      const int local = stream_locals[s];
-      const ChunkRange& shard = shards[static_cast<size_t>(local)];
-      const Group& group = stream_groups[s];
-      // Every stream worker owns its own stream, so the parallel
-      // accumulation is race-free and bitwise-identical to a serial loop.
-      std::vector<const compress::SparseTensor*> blocks;
-      blocks.reserve(group.size());
-      for (int peer : group) {
-        blocks.push_back(&selected[static_cast<size_t>(peer)]);
-      }
-      CompactStream& stream = streams[static_cast<size_t>(local)];
-      merge_accumulate(blocks, shard.begin, stream);
-      stream_nnz[static_cast<size_t>(local)] = stream.indices.size();
-    });
-  }
-  // The n streams run concurrently (Alg. 2 line 11: "for j in [n] in
-  // parallel"), sharing each node's NIC.
-  double t3_comm = t2;
-  if (!stream_groups.empty()) {
-    t3_comm = ring_allgather_bytes_multi(cluster, stream_groups,
-                                         stream_payloads, t2);
-  }
-  double accumulate_seconds = 0.0;
-  if (options.gpu != nullptr) {
-    accumulate_seconds = options.gpu->scatter_add_seconds(
-        static_cast<size_t>(m) * max_k);
-  }
-  const double t3 = simnet::Cluster::compute(t3_comm, accumulate_seconds);
-  out.inter_allgather = t3 - t2;
-
-  // ---- Step 4: intra-node all-gather of the accumulated sparse shards
-  // (Alg. 2 lines 21-23).  Each GPU contributes at most m*k~ nonzeros.
-  double t4_comm = t3;
-  for (int node = 0; node < m; ++node) {
-    const Group group = node_group(topo, node);
-    std::vector<size_t> payload(group.size());
-    for (size_t i = 0; i < group.size(); ++i) {
-      size_t nnz;
-      if (functional) {
-        const int local = topo.local_rank(group[i]);
-        nnz = stream_nnz[static_cast<size_t>(local)];
-      } else {
-        const ChunkRange shard = chunk_range(
-            elems, static_cast<size_t>(n), static_cast<size_t>(i));
-        nnz = std::min(static_cast<size_t>(m) *
-                           shard_k(options.density, shard.count),
-                       shard.count);
-      }
-      payload[i] = sparse_payload_bytes(wire, nnz);
-    }
-    t4_comm = std::max(t4_comm,
-                       ring_allgather_bytes(cluster, group, payload, t3));
-  }
-  double rebuild_seconds = 0.0;
-  if (options.gpu != nullptr) {
-    rebuild_seconds = options.gpu->scatter_add_seconds(
-        std::min(static_cast<size_t>(m) * max_k * static_cast<size_t>(n),
-                 elems));
-  }
-  const double t4 = simnet::Cluster::compute(t4_comm, rebuild_seconds);
-  out.intra_allgather = t4 - t3;
-  out.total = t4 - start;
-
-  // Rebuild the full aggregated gradient on every rank from the
-  // concatenated compact streams.
-  if (functional) rebuild_from_compact(data, streams);
-  return out;
 }
 
-// ==================== uneven fleets (per-node GPU counts) ================
-//
+// Step 1 on an uneven fleet: a per-node ring Reduce-Scatter needs one chunk
+// per member, which the L-shard grid of a small node does not provide, so
+// every (node, shard) pair fans its peers' slices in to the shard's owner
+// directly — one step, all sends ready at the start, reduces applied in
+// local-rank order per owner.
+void build_fan_in(Schedule& sched, const simnet::Topology& topo,
+                  const RankData& data, const std::vector<ChunkRange>& shards,
+                  WireDtype wire) {
+  const uint32_t slot0 =
+      sched.add_slots(static_cast<uint32_t>(topo.world_size()));
+  std::vector<uint32_t> bufs;
+  for (const auto& span : data) bufs.push_back(sched.add_buffer(span, wire));
+  for (int node = 0; node < topo.nodes(); ++node) {
+    const int g = topo.gpus_on_node(node);
+    for (size_t s = 0; s < shards.size(); ++s) {
+      const ChunkRange& shard = shards[s];
+      if (shard.count == 0) continue;
+      const int owner = topo.rank_of(node, static_cast<int>(s) % g);
+      for (int local = 0; local < g; ++local) {
+        const int rank = topo.rank_of(node, local);
+        if (rank == owner) continue;
+        sched.send(rank, owner, wire_payload_bytes(wire, shard.count),
+                   slot0 + static_cast<uint32_t>(rank),
+                   slot0 + static_cast<uint32_t>(owner));
+        if (!bufs.empty()) {
+          sched.reduce(bufs[static_cast<size_t>(rank)],
+                       bufs[static_cast<size_t>(owner)], shard.begin,
+                       shard.count);
+        }
+      }
+    }
+  }
+  sched.end_step();
+}
+
+}  // namespace
+
 // L = max gpus-per-node shards tile the gradient; on a node with g GPUs,
-// GPU j owns every shard s with s % g == j.  Step 1 aggregates each shard
-// by direct fan-in to its owner (a per-node ring reduce-scatter needs one
-// chunk per member, which the L-shard grid of a small node does not
-// provide); steps 2-4 are the uniform pipeline run per (shard, node) unit,
-// with the same merge accumulation and tiled scatter rebuild.
-HiTopKBreakdown hitopk_uneven(simnet::Cluster& cluster, const RankData& data,
-                              size_t elems, const HiTopKOptions& options,
-                              double start) {
+// GPU j owns every shard s with s % g == j (on a uniform fleet: shard j).
+// Steps 2-4 run per (shard, node) unit, so a small node's GPU that owns
+// several shards selects, sends and rebuilds each of them.
+PhaseReport hitopk_comm(simnet::Cluster& cluster, const RankData& data,
+                        size_t elems, const HiTopKOptions& options,
+                        double start) {
   const simnet::Topology& topo = cluster.topology();
+  check_data(world_group(topo), data, elems);
   const int m = topo.nodes();
-  const int world = topo.world_size();
+  const bool uniform = topo.uniform();
   const bool functional = !data.empty();
   const WireDtype wire = options.value_wire;
 
@@ -392,71 +230,36 @@ HiTopKBreakdown hitopk_uneven(simnet::Cluster& cluster, const RankData& data,
     L = std::max(L, topo.gpus_on_node(node));
   }
   HITOPK_CHECK_GT(L, 0);
-
-  HiTopKBreakdown out;
   std::vector<ChunkRange> shards(static_cast<size_t>(L));
   for (int s = 0; s < L; ++s) {
     shards[static_cast<size_t>(s)] =
         chunk_range(elems, static_cast<size_t>(L), static_cast<size_t>(s));
   }
-  const auto owner_of = [&](int node, int s) {
-    return topo.rank_of(node, s % topo.gpus_on_node(node));
-  };
 
-  // ---- Step 1: per-(node, shard) dense fan-in to the shard's owner.
-  double t1 = start;
-  for (int node = 0; node < m; ++node) {
-    const int g = topo.gpus_on_node(node);
-    for (int s = 0; s < L; ++s) {
-      const ChunkRange& shard = shards[static_cast<size_t>(s)];
-      if (shard.count == 0) continue;
-      const int owner = owner_of(node, s);
-      for (int local = 0; local < g; ++local) {
-        const int rank = topo.rank_of(node, local);
-        if (rank == owner) continue;
-        const double done =
-            cluster
-                .submit({simnet::kDefaultJob, rank, owner,
-                         wire_payload_bytes(wire, shard.count), start})
-                .time;
-        t1 = std::max(t1, done);
-      }
-      if (functional) {
-        auto acc = data[static_cast<size_t>(owner)].subspan(shard.begin,
-                                                            shard.count);
-        for (int local = 0; local < g; ++local) {
-          const int rank = topo.rank_of(node, local);
-          if (rank == owner) continue;
-          auto src =
-              data[static_cast<size_t>(rank)].subspan(shard.begin, shard.count);
-          if (wire == WireDtype::kFp32) {
-            tensor_ops::add_into(acc, src);
-          } else {
-            // The peer's slice crosses the wire before the owner adds it.
-            auto& staging = fanin_staging();
-            staging.assign(src.begin(), src.end());
-            wire_round_trip(wire, std::span<float>(staging));
-            tensor_ops::add_into(acc, std::span<const float>(staging));
-          }
-        }
-      }
-    }
+  // ---- Step 1: dense intra-node aggregation onto the shard owners (Alg. 2
+  // lines 2-4).
+  Schedule sched;
+  if (uniform) {
+    build_node_reduce_scatter(sched, topo, data, elems, wire);
+  } else {
+    build_fan_in(sched, topo, data, shards, wire);
   }
-  out.reduce_scatter = t1 - start;
+  sched.sync(/*collapse=*/false, "reduce_scatter");
+  PhaseReport report = sched.run(cluster, start);
 
-  // ---- Step 2: MSTopK per (shard, node) unit.  A small node's GPU owns
-  // several shards, so units — not ranks — are the parallel grain, and the
-  // error-feedback keys carry the shard: "<prefix>:<rank>:s<shard>".
+  // ---- Step 2: MSTopK per (shard, node) unit (Alg. 2 lines 5-8).  Units
+  // are shard-major, so unit s * m + node is node `node`'s block of shard
+  // s's stream.
   struct Unit {
     int s;
-    int node;
+    int rank;  // the shard's owner on this node
   };
   std::vector<Unit> units;
+  units.reserve(static_cast<size_t>(L * m));
   size_t max_k = 0;
   double mstopk_seconds = 0.0;
   for (int s = 0; s < L; ++s) {
     const ChunkRange& shard = shards[static_cast<size_t>(s)];
-    if (shard.count == 0) continue;
     const size_t k = shard_k(options.density, shard.count);
     max_k = std::max(max_k, k);
     if (options.gpu != nullptr) {
@@ -464,18 +267,25 @@ HiTopKBreakdown hitopk_uneven(simnet::Cluster& cluster, const RankData& data,
           mstopk_seconds, options.gpu->mstopk_seconds(shard.count, k,
                                                       options.mstopk_samplings));
     }
-    for (int node = 0; node < m; ++node) units.push_back({s, node});
+    for (int node = 0; node < m; ++node) {
+      units.push_back({s, topo.rank_of(node, s % topo.gpus_on_node(node))});
+    }
   }
-  // sel[s * m + node]: the block node `node` contributes to shard s's stream.
-  std::vector<compress::SparseTensor> sel(static_cast<size_t>(L * m));
+  std::vector<compress::SparseTensor> sel(units.size());
   if (functional) {
+    // A uniform fleet's GPU owns one shard, so its rank alone names the
+    // error-feedback entry ("<prefix>:<rank>") and seeds the selection; an
+    // uneven fleet's GPU may own several, so both carry the shard too
+    // ("<prefix>:<rank>:s<shard>").  The keys are built once and the
+    // residual entries pre-created, so the parallel workers below only
+    // ever look them up (inserts would race).
     std::vector<std::string> ef_keys;
     if (options.error_feedback != nullptr) {
       ef_keys.resize(units.size());
       for (size_t u = 0; u < units.size(); ++u) {
-        const int rank = owner_of(units[u].node, units[u].s);
-        ef_keys[u] = options.ef_key_prefix + ":" + std::to_string(rank) +
-                     ":s" + std::to_string(units[u].s);
+        ef_keys[u] = options.ef_key_prefix + ":" +
+                     std::to_string(units[u].rank);
+        if (!uniform) ef_keys[u] += ":s" + std::to_string(units[u].s);
         options.error_feedback->ensure(
             ef_keys[u], shards[static_cast<size_t>(units[u].s)].count);
       }
@@ -483,40 +293,51 @@ HiTopKBreakdown hitopk_uneven(simnet::Cluster& cluster, const RankData& data,
     const compress::MsTopKMode mode = options.mstopk_histogram
                                           ? compress::MsTopKMode::kHistogram
                                           : compress::MsTopKMode::kMultiPass;
+    // Every unit simulates an independent selection: disjoint shard
+    // buffers, its own seeded RNG and residual entry.  The iterations
+    // commute, so the parallel execution is bitwise identical to a serial
+    // loop.
     parallel_for(0, units.size(), [&](size_t u) {
-      const int s = units[u].s;
-      const int rank = owner_of(units[u].node, s);
-      const ChunkRange& shard = shards[static_cast<size_t>(s)];
-      const size_t k = shard_k(options.density, shard.count);
-      auto shard_span =
-          data[static_cast<size_t>(rank)].subspan(shard.begin, shard.count);
-      // Per-unit seed: a rank owning several shards runs one independent
-      // selection stream per shard.
-      compress::MsTopK mstopk(
-          options.mstopk_samplings,
-          options.seed + static_cast<uint64_t>(rank) *
-                             static_cast<uint64_t>(L) +
-              static_cast<uint64_t>(s),
-          mode);
+      const Unit& unit = units[u];
+      const ChunkRange& shard = shards[static_cast<size_t>(unit.s)];
+      auto shard_span = data[static_cast<size_t>(unit.rank)].subspan(
+          shard.begin, shard.count);
+      const uint64_t rank = static_cast<uint64_t>(unit.rank);
+      const uint64_t seed =
+          uniform ? options.seed + rank
+                  : options.seed + rank * static_cast<uint64_t>(L) +
+                        static_cast<uint64_t>(unit.s);
+      compress::MsTopK mstopk(options.mstopk_samplings, seed, mode);
+      // Fused EF exchange: the shard is untouched between compensation and
+      // absorption, so priming the residual during apply saves absorb's
+      // full-shard copy.
       if (options.error_feedback != nullptr) {
         options.error_feedback->apply_priming(ef_keys[u], shard_span);
       }
-      compress::SparseTensor& block =
-          sel[static_cast<size_t>(s * m + units[u].node)];
-      block = mstopk.compress(shard_span, k);
-      wire_round_trip(wire, std::span<float>(block.values));
+      sel[u] = mstopk.compress(shard_span, shard_k(options.density,
+                                                   shard.count));
+      // Typed payloads: the values cross the wire in the selected dtype, so
+      // round them through the codec *before* error feedback absorbs the
+      // send — the residual then keeps the quantization error alongside the
+      // unselected coordinates.  A no-op for fp32.
+      wire_round_trip(wire, std::span<float>(sel[u].values));
       if (options.error_feedback != nullptr) {
-        options.error_feedback->absorb_primed(ef_keys[u], block);
+        options.error_feedback->absorb_primed(ef_keys[u], sel[u]);
       }
     });
   }
-  out.selected_per_shard = max_k;
-  const double t2 = simnet::Cluster::compute(t1, mstopk_seconds);
-  out.mstopk = t2 - t1;
+  report.close("mstopk", simnet::Cluster::compute(report.finish,
+                                                  mstopk_seconds));
 
-  // ---- Step 3: L concurrent inter-node all-gathers, one per shard, among
-  // the shard's per-node owners.  Two shards of a small node share their
-  // owner's NIC; the port clocks serialize them.
+  // ---- Step 3: one inter-node All-Gather per shard among the shard's
+  // per-node owners, all concurrent (Alg. 2 line 11: "for j in [n] in
+  // parallel"), sharing each node's NIC; plus local accumulation with
+  // duplicate-index adds (lines 15-20).  Every member of a stream computes
+  // the identical accumulation of its m sparse blocks, so it is computed
+  // once per stream: the sorted blocks merge-accumulate into a compact
+  // stream (see merge_accumulate) — no dense buffer, no memset, no
+  // full-shard rescan.  The shards tile [0, elems), so the streams together
+  // ARE the aggregated gradient and feed step 4's tiled scatter rebuild.
   std::vector<CompactStream> streams(functional ? static_cast<size_t>(L) : 0);
   std::vector<size_t> stream_nnz(static_cast<size_t>(L), 0);
   std::vector<Group> stream_groups;
@@ -528,10 +349,10 @@ HiTopKBreakdown hitopk_uneven(simnet::Cluster& cluster, const RankData& data,
     Group group;
     std::vector<size_t> payload;
     for (int node = 0; node < m; ++node) {
-      group.push_back(owner_of(node, s));
-      const size_t nnz = functional
-                             ? sel[static_cast<size_t>(s * m + node)].nnz()
-                             : shard_k(options.density, shard.count);
+      const size_t u = static_cast<size_t>(s * m + node);
+      group.push_back(units[u].rank);
+      const size_t nnz = functional ? sel[u].nnz()
+                                    : shard_k(options.density, shard.count);
       payload.push_back(sparse_payload_bytes(wire, nnz));
     }
     stream_groups.push_back(std::move(group));
@@ -539,34 +360,37 @@ HiTopKBreakdown hitopk_uneven(simnet::Cluster& cluster, const RankData& data,
     stream_shards.push_back(s);
   }
   if (functional) {
+    // Every worker owns its own stream: race-free, and bitwise identical
+    // to a serial loop.
     parallel_for(0, stream_shards.size(), [&](size_t i) {
       const int s = stream_shards[i];
-      const ChunkRange& shard = shards[static_cast<size_t>(s)];
       std::vector<const compress::SparseTensor*> blocks;
       blocks.reserve(static_cast<size_t>(m));
       for (int node = 0; node < m; ++node) {
         blocks.push_back(&sel[static_cast<size_t>(s * m + node)]);
       }
       CompactStream& stream = streams[static_cast<size_t>(s)];
-      merge_accumulate(blocks, shard.begin, stream);
+      merge_accumulate(blocks, shards[static_cast<size_t>(s)].begin, stream);
       stream_nnz[static_cast<size_t>(s)] = stream.indices.size();
     });
   }
-  double t3_comm = t2;
+  double t3_comm = report.finish;
   if (!stream_groups.empty()) {
     t3_comm = ring_allgather_bytes_multi(cluster, stream_groups,
-                                         stream_payloads, t2);
+                                         stream_payloads, report.finish);
   }
   double accumulate_seconds = 0.0;
   if (options.gpu != nullptr) {
     accumulate_seconds = options.gpu->scatter_add_seconds(
         static_cast<size_t>(m) * max_k);
   }
-  const double t3 = simnet::Cluster::compute(t3_comm, accumulate_seconds);
-  out.inter_allgather = t3 - t2;
+  report.close("inter_allgather",
+               simnet::Cluster::compute(t3_comm, accumulate_seconds));
 
-  // ---- Step 4: intra-node all-gather; each GPU contributes every shard it
-  // owns (at most m*k~ nonzeros per shard).
+  // ---- Step 4: intra-node All-Gather of the accumulated sparse shards
+  // (Alg. 2 lines 21-23); each GPU contributes every shard it owns, at
+  // most m*k~ nonzeros per shard.
+  const double t3 = report.finish;
   double t4_comm = t3;
   for (int node = 0; node < m; ++node) {
     const Group group = node_group(topo, node);
@@ -574,15 +398,11 @@ HiTopKBreakdown hitopk_uneven(simnet::Cluster& cluster, const RankData& data,
     std::vector<size_t> payload(group.size(), 0);
     for (int s = 0; s < L; ++s) {
       const ChunkRange& shard = shards[static_cast<size_t>(s)];
-      if (shard.count == 0) continue;
-      size_t nnz;
-      if (functional) {
-        nnz = stream_nnz[static_cast<size_t>(s)];
-      } else {
-        nnz = std::min(
-            static_cast<size_t>(m) * shard_k(options.density, shard.count),
-            shard.count);
-      }
+      const size_t nnz =
+          functional ? stream_nnz[static_cast<size_t>(s)]
+                     : std::min(static_cast<size_t>(m) *
+                                    shard_k(options.density, shard.count),
+                                shard.count);
       payload[static_cast<size_t>(s % g)] += sparse_payload_bytes(wire, nnz);
     }
     t4_comm = std::max(t4_comm,
@@ -594,27 +414,13 @@ HiTopKBreakdown hitopk_uneven(simnet::Cluster& cluster, const RankData& data,
         std::min(static_cast<size_t>(m) * max_k * static_cast<size_t>(L),
                  elems));
   }
-  const double t4 = simnet::Cluster::compute(t4_comm, rebuild_seconds);
-  out.intra_allgather = t4 - t3;
-  out.total = t4 - start;
+  report.close("intra_allgather",
+               simnet::Cluster::compute(t4_comm, rebuild_seconds));
 
-  if (functional) {
-    rebuild_from_compact(data, streams);
-  }
-  (void)world;
-  return out;
-}
-
-}  // namespace
-
-HiTopKBreakdown hitopk_comm(simnet::Cluster& cluster, const RankData& data,
-                            size_t elems, const HiTopKOptions& options,
-                            double start) {
-  check_data(world_group(cluster.topology()), data, elems);
-  if (cluster.topology().uniform()) {
-    return hitopk_uniform(cluster, data, elems, options, start);
-  }
-  return hitopk_uneven(cluster, data, elems, options, start);
+  // Rebuild the full aggregated gradient on every rank from the
+  // concatenated compact streams.
+  if (functional) rebuild_from_compact(data, streams);
+  return report;
 }
 
 }  // namespace hitopk::coll

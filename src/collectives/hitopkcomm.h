@@ -20,14 +20,16 @@
 // spot fleets).  The gradient is partitioned into L = max gpus-per-node
 // shards; on a node with g GPUs, GPU j owns every shard s with s % g == j,
 // so each node still covers the whole gradient and shard s's inter-node
-// stream runs among its per-node owners.  Small nodes aggregate shards by
-// direct fan-in to the owner (a ring Reduce-Scatter needs one chunk per
-// member); uniform fleets keep the ring path bit-for-bit.
+// stream runs among its per-node owners.  Steps 2-4 are one pipeline over
+// (shard, node) units for every fleet; only step 1 differs: small nodes
+// aggregate shards by direct fan-in to the owner (a ring Reduce-Scatter
+// needs one chunk per member), uniform fleets run the ring.
 #pragma once
 
 #include <string>
 
 #include "collectives/common.h"
+#include "collectives/schedule.h"
 #include "compress/error_feedback.h"
 #include "simgpu/gpu_model.h"
 
@@ -63,22 +65,13 @@ struct HiTopKOptions {
   std::string ef_key_prefix = "grad";
 };
 
-struct HiTopKBreakdown {
-  double reduce_scatter = 0.0;
-  double mstopk = 0.0;
-  double inter_allgather = 0.0;
-  double intra_allgather = 0.0;
-  double total = 0.0;
-  // k~ actually used for (the largest) shard.
-  size_t selected_per_shard = 0;
-};
-
 // In-place hierarchical sparse aggregation over the whole cluster.  In
 // functional mode (data non-empty, one full-size buffer per world rank) each
 // buffer is replaced by the aggregated sparse gradient, identical on every
-// rank.  In timing-only mode (data empty) only the clocks advance.
-HiTopKBreakdown hitopk_comm(simnet::Cluster& cluster, const RankData& data,
-                            size_t elems, const HiTopKOptions& options,
-                            double start);
+// rank.  In timing-only mode (data empty) only the clocks advance.  Phases:
+// "reduce_scatter", "mstopk", "inter_allgather", "intra_allgather".
+PhaseReport hitopk_comm(simnet::Cluster& cluster, const RankData& data,
+                        size_t elems, const HiTopKOptions& options,
+                        double start);
 
 }  // namespace hitopk::coll

@@ -8,7 +8,26 @@
 #include "core/workspace.h"
 
 namespace hitopk::coll {
-NaiveAgResult naive_sparse_allgather(
+namespace {
+
+// The timing both entry points share: the flat world ring gathers every
+// origin rank's payload, then every rank scatter-adds all P blocks locally.
+PhaseReport naive_timing(simnet::Cluster& cluster,
+                         const std::vector<size_t>& payload,
+                         double accumulate_seconds_per_rank, double start,
+                         double step_overhead) {
+  PhaseReport report(start);
+  report.close("allgather",
+               ring_allgather_bytes(cluster, world_group(cluster.topology()),
+                                    payload, start, step_overhead));
+  report.close("accumulate", simnet::Cluster::compute(
+                                 report.finish, accumulate_seconds_per_rank));
+  return report;
+}
+
+}  // namespace
+
+PhaseReport naive_sparse_allgather(
     simnet::Cluster& cluster,
     const std::vector<compress::SparseTensor>& sparse, const RankData& data,
     size_t elems, size_t value_wire_bytes, double accumulate_seconds_per_rank,
@@ -29,17 +48,9 @@ NaiveAgResult naive_sparse_allgather(
         << ", expected" << elems;
     payload[r] = sparse[r].nnz() * (value_wire_bytes + 4);
   }
-
-  NaiveAgResult out;
-  const double gathered = ring_allgather_bytes(
-      cluster, world_group(cluster.topology()), payload, start, step_overhead);
-  out.allgather = gathered - start;
-
-  // Every rank scatter-adds all P blocks locally.
-  const double done =
-      simnet::Cluster::compute(gathered, accumulate_seconds_per_rank);
-  out.accumulate = done - gathered;
-  out.total = done - start;
+  PhaseReport report = naive_timing(cluster, payload,
+                                    accumulate_seconds_per_rank, start,
+                                    step_overhead);
 
   if (!data.empty()) {
     // All ranks compute the identical sum; the fused accumulation builds it
@@ -51,25 +62,17 @@ NaiveAgResult naive_sparse_allgather(
       std::copy(sum.span().begin(), sum.span().end(), data[r].begin());
     });
   }
-  return out;
+  return report;
 }
 
-NaiveAgResult naive_sparse_allgather_time(simnet::Cluster& cluster, size_t k,
-                                          size_t value_wire_bytes,
-                                          double accumulate_seconds_per_rank,
-                                          double start, double step_overhead) {
+PhaseReport naive_sparse_allgather_time(simnet::Cluster& cluster, size_t k,
+                                        size_t value_wire_bytes,
+                                        double accumulate_seconds_per_rank,
+                                        double start, double step_overhead) {
   const size_t p = static_cast<size_t>(cluster.topology().world_size());
-  std::vector<size_t> payload(p, k * (value_wire_bytes + 4));
-
-  NaiveAgResult out;
-  const double gathered = ring_allgather_bytes(
-      cluster, world_group(cluster.topology()), payload, start, step_overhead);
-  out.allgather = gathered - start;
-  const double done =
-      simnet::Cluster::compute(gathered, accumulate_seconds_per_rank);
-  out.accumulate = done - gathered;
-  out.total = done - start;
-  return out;
+  return naive_timing(cluster,
+                      std::vector<size_t>(p, k * (value_wire_bytes + 4)),
+                      accumulate_seconds_per_rank, start, step_overhead);
 }
 
 }  // namespace hitopk::coll

@@ -10,15 +10,10 @@
 #pragma once
 
 #include "collectives/common.h"
+#include "collectives/schedule.h"
 #include "compress/sparse_tensor.h"
 
 namespace hitopk::coll {
-
-struct NaiveAgResult {
-  double total = 0.0;
-  double allgather = 0.0;
-  double accumulate = 0.0;  // local scatter-add of P sparse blocks
-};
 
 // Per-ring-step protocol overhead of the flat world-scale sparse All-Gather
 // (see models/calibration.h): measured NCCL sparse all-gathers at P = 128
@@ -30,15 +25,16 @@ inline constexpr double kFlatRingStepOverhead = 1.0e-3;
 // each rank's dense result (the sum of all P sparse blocks) is written into
 // data[rank] when data is non-empty.  value_wire_bytes: 2 for FP16 values.
 // accumulate_seconds_per_rank: device-side scatter-add cost (0 to measure
-// pure communication).
-NaiveAgResult naive_sparse_allgather(
+// pure communication).  Phases: "allgather", "accumulate" (the local
+// scatter-add of the P blocks).
+PhaseReport naive_sparse_allgather(
     simnet::Cluster& cluster,
     const std::vector<compress::SparseTensor>& sparse, const RankData& data,
     size_t elems, size_t value_wire_bytes, double accumulate_seconds_per_rank,
     double start, double step_overhead = kFlatRingStepOverhead);
 
 // Timing-only variant: every rank contributes exactly k elements.
-NaiveAgResult naive_sparse_allgather_time(
+PhaseReport naive_sparse_allgather_time(
     simnet::Cluster& cluster, size_t k, size_t value_wire_bytes,
     double accumulate_seconds_per_rank, double start,
     double step_overhead = kFlatRingStepOverhead);

@@ -2,18 +2,16 @@
 
 #include <vector>
 
-#include "collectives/schedule.h"
-
 namespace hitopk::coll {
 
 // Two steps: push (fan-in, reduce moves per server bucket in worker order)
 // and pull (fan-out, resolved copies).  Shard readiness gets its own slot
 // per server — pulls of shard s start at shard s's push completion, not at
 // a global barrier, so the sync between the steps is a non-collapsing mark
-// that only records push_done for the breakdown.
-ParamServerResult param_server_allreduce(simnet::Cluster& cluster,
-                                         const RankData& data, size_t elems,
-                                         WireDtype wire, double start) {
+// that only closes the "push" phase.
+PhaseReport param_server_allreduce(simnet::Cluster& cluster,
+                                   const RankData& data, size_t elems,
+                                   WireDtype wire, double start) {
   check_data(world_group(cluster.topology()), data, elems);
   const simnet::Topology& topo = cluster.topology();
   const int m = topo.nodes();
@@ -47,7 +45,7 @@ ParamServerResult param_server_allreduce(simnet::Cluster& cluster,
     }
   }
   sched.end_step();
-  sched.sync(/*collapse=*/false);  // record push_done only
+  sched.sync(/*collapse=*/false, "push");
 
   // ---- Pull.
   for (int s = 0; s < m; ++s) {
@@ -70,15 +68,9 @@ ParamServerResult param_server_allreduce(simnet::Cluster& cluster,
     }
   }
 
-  const Schedule::TimingResult timing = sched.run_timing(cluster, start);
-  sched.run_data();
-
-  ParamServerResult out;
-  const double push_done = timing.sync_times[0];
-  out.push = push_done - start;
-  out.pull = timing.finish - push_done;
-  out.total = timing.finish - start;
-  return out;
+  sched.end_step();
+  sched.sync(/*collapse=*/false, "pull");
+  return sched.run(cluster, start);
 }
 
 }  // namespace hitopk::coll

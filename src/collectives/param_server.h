@@ -12,20 +12,15 @@
 #pragma once
 
 #include "collectives/common.h"
+#include "collectives/schedule.h"
 
 namespace hitopk::coll {
 
-struct ParamServerResult {
-  double total = 0.0;
-  double push = 0.0;
-  double pull = 0.0;
-};
-
 // In-place dense aggregation over the whole cluster: after completion every
 // rank's buffer holds the element-wise sum.  Timing-only when data is
-// empty.
-ParamServerResult param_server_allreduce(simnet::Cluster& cluster,
-                                         const RankData& data, size_t elems,
-                                         WireDtype wire, double start);
+// empty.  Phases: "push", "pull".
+PhaseReport param_server_allreduce(simnet::Cluster& cluster,
+                                   const RankData& data, size_t elems,
+                                   WireDtype wire, double start);
 
 }  // namespace hitopk::coll

@@ -208,7 +208,7 @@ bool Planner::build_candidate(Schedule& sched, const simnet::Topology& topo,
       const RingGrid grid = ring_grid(sched, groups, group_data, wire);
       build_ring_reduce_scatter(sched, groups, grid, elems, wire,
                                 /*fused_chains=*/true);
-      sched.sync(/*collapse=*/true);
+      sched.sync(/*collapse=*/true, "reduce_scatter");
       build_ring_allgather(sched, groups, grid, elems, wire);
       return true;
     }
@@ -495,9 +495,7 @@ double Planner::execute(simnet::Cluster& cluster, const Group& group,
     vopts.require_full_coverage = true;  // exact All-Reduce: no partials left
     ScheduleValidator(vopts).validate(sched);
   }
-  const double finish = sched.run_timing(cluster, start).finish;
-  sched.run_data();
-  return finish;
+  return sched.run(cluster, start).finish;
 }
 
 }  // namespace hitopk::coll

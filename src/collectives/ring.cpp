@@ -10,24 +10,6 @@ namespace {
 size_t rs_send_chunk(size_t i, size_t s, size_t g) { return (i + 2 * g - s - 1) % g; }
 size_t ag_send_chunk(size_t i, size_t s, size_t g) { return (i + 2 * g - s) % g; }
 
-void check_groups(const std::vector<Group>& groups,
-                  const std::vector<RankData>& data, size_t elems) {
-  HITOPK_VALIDATE(!groups.empty()) << "ring collective needs a group";
-  for (const auto& group : groups) {
-    HITOPK_VALIDATE(group.size() == groups[0].size())
-        << "ring groups must share one size; got" << group.size() << "and"
-        << groups[0].size();
-  }
-  if (!data.empty()) {
-    HITOPK_VALIDATE(data.size() == groups.size())
-        << "got" << data.size() << "data vectors for" << groups.size()
-        << "groups";
-    for (size_t q = 0; q < groups.size(); ++q) {
-      check_data(groups[q], data[q], elems);
-    }
-  }
-}
-
 // Wraps a single group (+ optional data) for the multi builders.
 std::vector<RankData> single_data(const RankData& data) {
   std::vector<RankData> out;
@@ -203,9 +185,7 @@ double ring_reduce_scatter(simnet::Cluster& cluster, const Group& group,
   Schedule sched;
   const RingGrid grid = ring_grid(sched, groups, group_data, wire);
   build_ring_reduce_scatter(sched, groups, grid, elems, wire);
-  const double done = sched.run_timing(cluster, start).finish;
-  sched.run_data();
-  return done;
+  return sched.run(cluster, start).finish;
 }
 
 double ring_allgather(simnet::Cluster& cluster, const Group& group,
@@ -218,9 +198,7 @@ double ring_allgather(simnet::Cluster& cluster, const Group& group,
   Schedule sched;
   const RingGrid grid = ring_grid(sched, groups, group_data, wire);
   build_ring_allgather(sched, groups, grid, elems, wire);
-  const double done = sched.run_timing(cluster, start).finish;
-  sched.run_data();
-  return done;
+  return sched.run(cluster, start).finish;
 }
 
 double ring_allreduce(simnet::Cluster& cluster, const Group& group,
@@ -237,27 +215,9 @@ double ring_allreduce(simnet::Cluster& cluster, const Group& group,
   // The gather starts for everyone at the RS completion maximum, then
   // reuses the reduce-scatter result in place (owner chunks feed the
   // resolved copies).
-  sched.sync(/*collapse=*/true);
+  sched.sync(/*collapse=*/true, "reduce_scatter");
   build_ring_allgather(sched, groups, grid, elems, wire);
-  const double done = sched.run_timing(cluster, start).finish;
-  sched.run_data();
-  return done;
-}
-
-double ring_allreduce_multi(simnet::Cluster& cluster,
-                            const std::vector<Group>& groups,
-                            const std::vector<RankData>& data, size_t elems,
-                            WireDtype wire, double start) {
-  check_groups(groups, data, elems);
-  if (groups[0].size() <= 1) return start;
-  Schedule sched;
-  const RingGrid grid = ring_grid(sched, groups, data, wire);
-  build_ring_reduce_scatter(sched, groups, grid, elems, wire);
-  // No sync: each group's gather chains off its own reduce-scatter slots.
-  build_ring_allgather(sched, groups, grid, elems, wire);
-  const double done = sched.run_timing(cluster, start).finish;
-  sched.run_data();
-  return done;
+  return sched.run(cluster, start).finish;
 }
 
 double ring_allgather_bytes(simnet::Cluster& cluster, const Group& group,

@@ -42,18 +42,12 @@ double ring_allgather_bytes(simnet::Cluster& cluster, const Group& group,
                             const std::vector<size_t>& payload_bytes,
                             double start, double step_overhead = 0.0);
 
-// Concurrent multi-group variants.  Several equally-sized ring groups run
+// Concurrent multi-group variant.  Several equally-sized ring groups run
 // *simultaneously* — their per-step transfers are interleaved in issue
 // order so the Cluster's port clocks model NIC capacity sharing across the
-// streams (the n parallel inter-node rings of 2DTAR and HiTopKComm step 3).
-// Issuing the groups sequentially instead would serialize them at the NIC
-// high-water marks and underestimate the aggregation the paper relies on.
-// data[g] is group g's RankData (all empty for timing-only).
-double ring_allreduce_multi(simnet::Cluster& cluster,
-                            const std::vector<Group>& groups,
-                            const std::vector<RankData>& data, size_t elems,
-                            WireDtype wire, double start);
-
+// streams (HiTopKComm step 3's n parallel inter-node rings).  Issuing the
+// groups sequentially instead would serialize them at the NIC high-water
+// marks and underestimate the aggregation the paper relies on.
 double ring_allgather_bytes_multi(
     simnet::Cluster& cluster, const std::vector<Group>& groups,
     const std::vector<std::vector<size_t>>& payload_bytes, double start,

@@ -86,12 +86,15 @@ void Schedule::move(TransferOp op, uint32_t src_buf, uint32_t dst_buf,
 
 void Schedule::end_step() { ++step_; }
 
-void Schedule::sync(bool collapse) { syncs_.push_back({step_, collapse}); }
+void Schedule::sync(bool collapse, const char* phase) {
+  syncs_.push_back({step_, collapse, phase});
+}
 
-Schedule::TimingResult Schedule::run_timing(simnet::Cluster& cluster,
-                                            double start, int job) const {
-  TimingResult result;
-  result.sync_times.reserve(syncs_.size());
+ScheduleOutcome Schedule::run_timing_abortable(simnet::Cluster& cluster,
+                                               double start, int job) const {
+  ScheduleOutcome out;
+  out.start = out.finish = start;
+  out.phases.reserve(syncs_.size() + 1);
   // clock = slot readiness at the last step boundary; next = in-progress
   // updates, committed at the next boundary (the ready/next swap).
   Scratch<double> clock_buf(num_slots_);
@@ -100,12 +103,14 @@ Schedule::TimingResult Schedule::run_timing(simnet::Cluster& cluster,
   auto next = next_buf.span();
   std::fill(clock.begin(), clock.end(), start);
 
-  auto running_max = [&] {
+  auto running_max = [&](std::span<double> slots) {
     double best = start;
-    for (double t : clock) best = std::max(best, t);
+    for (double t : slots) best = std::max(best, t);
     return best;
   };
 
+  bool degraded = false;
+  bool phase_open = false;  // sends issued since the last boundary
   size_t sync_cursor = 0;
   size_t i = 0;
   while (i < sends_.size() || sync_cursor < syncs_.size()) {
@@ -120,66 +125,9 @@ Schedule::TimingResult Schedule::run_timing(simnet::Cluster& cluster,
       step = syncs_[sync_cursor].step;
     }
     while (sync_cursor < syncs_.size() && syncs_[sync_cursor].step <= step) {
-      const double t = running_max();
-      result.sync_times.push_back(t);
-      if (syncs_[sync_cursor].collapse) {
-        std::fill(clock.begin(), clock.end(), t);
-      }
-      ++sync_cursor;
-    }
-    if (i >= sends_.size()) break;
-    std::copy(clock.begin(), clock.end(), next.begin());
-    for (; i < sends_.size() && sends_[i].step == step; ++i) {
-      const Send& t = sends_[i];
-      const simnet::FlowOutcome sent = cluster.submit(
-          {job, t.src, t.dst, t.bytes, clock[t.src_slot], t.extra_seconds});
-      HITOPK_CHECK(sent.delivered)
-          << "run_timing touched preempted rank" << sent.dead_rank
-          << "at t=" << sent.time
-          << "(use run_timing_abortable on fault-injected runs)";
-      next[t.dst_slot] = std::max(next[t.dst_slot], sent.time);
-    }
-    std::swap(clock, next);
-  }
-  result.finish = running_max();
-  return result;
-}
-
-ScheduleOutcome Schedule::run_timing_abortable(simnet::Cluster& cluster,
-                                               double start, int job) const {
-  ScheduleOutcome out;
-  out.sync_times.reserve(syncs_.size());
-  // Same replay loop as run_timing; see the comments there.  The only
-  // divergence is the undelivered-flow check: a fault-free cluster takes
-  // the identical arithmetic path, so completed outcomes match run_timing
-  // bit-for-bit.
-  Scratch<double> clock_buf(num_slots_);
-  Scratch<double> next_buf(num_slots_);
-  auto clock = clock_buf.span();
-  auto next = next_buf.span();
-  std::fill(clock.begin(), clock.end(), start);
-
-  auto running_max = [&](std::span<double> slots) {
-    double best = start;
-    for (double t : slots) best = std::max(best, t);
-    return best;
-  };
-
-  bool degraded = false;
-  size_t sync_cursor = 0;
-  size_t i = 0;
-  while (i < sends_.size() || sync_cursor < syncs_.size()) {
-    uint32_t step;
-    if (i < sends_.size() && sync_cursor < syncs_.size()) {
-      step = std::min(sends_[i].step, syncs_[sync_cursor].step);
-    } else if (i < sends_.size()) {
-      step = sends_[i].step;
-    } else {
-      step = syncs_[sync_cursor].step;
-    }
-    while (sync_cursor < syncs_.size() && syncs_[sync_cursor].step <= step) {
       const double t = running_max(clock);
-      out.sync_times.push_back(t);
+      out.close(syncs_[sync_cursor].phase, t);
+      phase_open = false;
       if (syncs_[sync_cursor].collapse) {
         std::fill(clock.begin(), clock.end(), t);
       }
@@ -187,6 +135,7 @@ ScheduleOutcome Schedule::run_timing_abortable(simnet::Cluster& cluster,
     }
     if (i >= sends_.size()) break;
     std::copy(clock.begin(), clock.end(), next.begin());
+    phase_open = true;
     for (; i < sends_.size() && sends_[i].step == step; ++i) {
       const Send& t = sends_[i];
       const simnet::FlowOutcome sent = cluster.submit(
@@ -202,8 +151,7 @@ ScheduleOutcome Schedule::run_timing_abortable(simnet::Cluster& cluster,
         out.status = ScheduleStatus::kAborted;
         out.abort_step = static_cast<int>(step);
         out.dead_rank = sent.dead_rank;
-        out.finish =
-            std::max(running_max(next), sent.time) + detect;
+        out.close("", std::max(running_max(next), sent.time) + detect);
         return out;
       }
       out.retries += sent.retries;
@@ -212,9 +160,18 @@ ScheduleOutcome Schedule::run_timing_abortable(simnet::Cluster& cluster,
     }
     std::swap(clock, next);
   }
-  out.finish = running_max(clock);
+  if (phase_open) out.close("", running_max(clock));
   if (degraded) out.status = ScheduleStatus::kDegraded;
   return out;
+}
+
+PhaseReport Schedule::run_timing(simnet::Cluster& cluster, double start,
+                                 int job) const {
+  ScheduleOutcome out = run_timing_abortable(cluster, start, job);
+  HITOPK_CHECK(out.completed())
+      << "run_timing touched preempted rank" << out.dead_rank << "at step"
+      << out.abort_step << "(use run_timing_abortable on fault-injected runs)";
+  return std::move(static_cast<PhaseReport&>(out));
 }
 
 void Schedule::run_data() const {

@@ -38,13 +38,15 @@
 // completion into its dst slot.  Slot updates within a step become visible
 // at the next step boundary (a double-buffered `ready`/`next` swap);
 // chained dependencies are expressed by putting the dependent send
-// in a later step.  sync() records a phase boundary: it captures the
-// running clock maximum (phase breakdowns) and optionally collapses every
+// in a later step.  sync() records a labelled phase boundary: it closes the
+// phase that ran since the previous boundary at the running clock maximum
+// (the PhaseReport every collective returns) and optionally collapses every
 // slot to that maximum (the scalar hand-off between phases, e.g.
 // Reduce-Scatter "mid" -> All-Gather start).
 #pragma once
 
 #include <cstdint>
+#include <string_view>
 #include <vector>
 
 #include "collectives/common.h"
@@ -86,10 +88,49 @@ enum class TransferOp : uint8_t {
 //                a rebuilt schedule on the surviving world starts clean).
 enum class ScheduleStatus : uint8_t { kCompleted, kDegraded, kAborted };
 
-struct ScheduleOutcome {
+// The clock report of one collective call: where it started, where it
+// finished, and the labelled phases in between.  Phases are contiguous —
+// each starts where the previous one ended, the first at `start` — so
+// their seconds sum to finish - start.  A label may repeat (BlueConnect
+// closes one "reduce_scatter" phase per ring stage); seconds(label) sums
+// all of them.  Labels are string literals owned by the recording code:
+// never allocated, copied or freed.
+struct PhaseReport {
+  struct Phase {
+    const char* label;
+    double seconds;
+  };
+
+  double start = 0.0;
+  double finish = 0.0;  // completion, or abort-detected time
+  double total = 0.0;   // finish - start
+  std::vector<Phase> phases;
+
+  PhaseReport() = default;
+  explicit PhaseReport(double at) : start(at), finish(at) {}
+
+  // Appends the phase [finish, t) under `label` and advances finish to t.
+  void close(const char* label, double t) {
+    phases.push_back({label, t - finish});
+    finish = t;
+    total = finish - start;
+  }
+
+  // Seconds spent in phases labelled `label` (0 when there are none).
+  double seconds(std::string_view label) const {
+    double sum = 0.0;
+    for (const Phase& phase : phases) {
+      if (label == phase.label) sum += phase.seconds;
+    }
+    return sum;
+  }
+};
+
+// A timed replay's report plus how it ended.  The phases cover the syncs
+// reached; sends issued after the last one (or an abort's drain and
+// detection timeout) form a final unlabelled ("") phase.
+struct ScheduleOutcome : PhaseReport {
   ScheduleStatus status = ScheduleStatus::kCompleted;
-  double finish = 0.0;              // completion, or abort-detected time
-  std::vector<double> sync_times;   // syncs reached before finishing/aborting
   int abort_step = -1;              // schedule step of the fatal send
   int dead_rank = -1;               // the preempted endpoint
   int retries = 0;                  // transient retries across delivered sends
@@ -123,6 +164,7 @@ class Schedule {
   struct Sync {
     uint32_t step;
     bool collapse;
+    const char* phase;
   };
 
   // ---- recording ------------------------------------------------------
@@ -173,37 +215,42 @@ class Schedule {
   // of sends before it, and the data pass inserts a bucket boundary.
   void end_step();
 
-  // Records a phase boundary at the current step.  The timing pass stores
-  // the running clock maximum into TimingResult::sync_times (in recording
-  // order); with collapse=true it also sets every slot to that maximum —
-  // the scalar "phase done, next phase starts for everyone" hand-off.
-  void sync(bool collapse);
+  // Records a phase boundary at the current step.  The timing pass closes
+  // the report phase `phase` (a string literal; see PhaseReport) at the
+  // running clock maximum; with collapse=true it also sets every slot to
+  // that maximum — the scalar "phase done, next phase starts for everyone"
+  // hand-off.  A sync recorded after a builder's last end_step() closes the
+  // final phase without changing any clock.
+  void sync(bool collapse, const char* phase);
 
   // ---- execution ------------------------------------------------------
-  struct TimingResult {
-    double finish = 0.0;              // max over final slots
-    std::vector<double> sync_times;   // one entry per recorded sync()
-  };
-
-  // Serial timing replay.  Does not touch data buffers.  `job` is the
-  // tenant context the recorded sends are submitted under: on a shared
-  // multi-tenant cluster the replay's flows processor-share contended ports
-  // with other jobs' reservations, while on an idle cluster every job id
-  // replays to identical clocks (the single-tenant compatibility pin).
-  TimingResult run_timing(simnet::Cluster& cluster, double start,
-                          int job = simnet::kDefaultJob) const;
-
-  // Fault-aware timing replay via Cluster::submit.  With no fault plan on
-  // the cluster (or an empty one) the finish and sync times are bit-identical
-  // to run_timing.  On a dead-rank hit it stops issuing, charges the plan's
-  // detection timeout, and reports the abort step — it never throws for
-  // faults scripted in the plan.  Does not touch data buffers; callers skip
+  // Fault-aware serial timing replay via Cluster::submit.  Does not touch
+  // data buffers.  `job` is the tenant context the recorded sends are
+  // submitted under: on a shared multi-tenant cluster the replay's flows
+  // processor-share contended ports with other jobs' reservations, while on
+  // an idle cluster every job id replays to identical clocks (the
+  // single-tenant compatibility pin).  On a dead-rank hit it stops issuing,
+  // charges the fault plan's detection timeout, and reports the abort step
+  // — it never throws for faults scripted in the plan.  Callers skip
   // run_data when the outcome is aborted.
   ScheduleOutcome run_timing_abortable(simnet::Cluster& cluster, double start,
                                        int job = simnet::kDefaultJob) const;
 
+  // The same replay for runs that cannot be preempted: throws CheckError
+  // when a send touches a preempted rank, otherwise returns the report
+  // bit-for-bit as run_timing_abortable does.
+  PhaseReport run_timing(simnet::Cluster& cluster, double start,
+                         int job = simnet::kDefaultJob) const;
+
   // Functional data pass (no clocks).  No-op for timing-only schedules.
   void run_data() const;
+
+  // Both passes of a fault-free call: run_timing, then run_data.
+  PhaseReport run(simnet::Cluster& cluster, double start) const {
+    PhaseReport report = run_timing(cluster, start);
+    run_data();
+    return report;
+  }
 
   bool empty() const { return sends_.empty() && moves_.empty(); }
   size_t num_sends() const { return sends_.size(); }

@@ -15,26 +15,17 @@
 
 namespace hitopk::coll {
 
-struct Torus2dBreakdown {
-  double reduce_scatter = 0.0;
-  double inter_allreduce = 0.0;
-  double intra_allgather = 0.0;
-  double total = 0.0;
-};
-
 // In-place 2D-torus All-Reduce over the whole cluster.  data (when
 // functional) holds one full-size buffer per world rank, in rank order.
-Torus2dBreakdown torus2d_allreduce(simnet::Cluster& cluster,
-                                   const RankData& data, size_t elems,
-                                   WireDtype wire, double start);
+// Phases: "reduce_scatter", "inter_allreduce", "intra_allgather".
+PhaseReport torus2d_allreduce(simnet::Cluster& cluster, const RankData& data,
+                              size_t elems, WireDtype wire, double start);
 
 // Records the whole collective into a caller-owned schedule, with collapse
-// syncs at the two phase boundaries.  Phase 2 uses per-stream extents over
-// the full rank buffers, so — unlike torus2d_allreduce, which runs a ragged
-// functional phase 2 as per-stream schedules — ragged shards (n does not
-// divide elems) stay inside the single schedule with exact per-stream
-// sizes.  Requires a uniform topology.  Exposed for the planner
-// (collectives/planner.h).
+// syncs at the two phase boundaries.  Phase 2 runs each stream over its
+// exact shard of the full rank buffers, so ragged shards (n does not divide
+// elems) keep exact per-stream sizes.  Requires a uniform topology.
+// Exposed for the planner (collectives/planner.h).
 void build_torus2d(Schedule& sched, const simnet::Topology& topo,
                    const RankData& data, size_t elems, WireDtype wire);
 

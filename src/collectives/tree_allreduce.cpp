@@ -163,9 +163,7 @@ double run_tree(simnet::Cluster& cluster, const RankData& data,
   build_one_tree(sched, cluster.topology(), data, half_begin, half_elems,
                  options, tree);
   // An empty record (degenerate half or world) replays to `start`.
-  const double finish = sched.run_timing(cluster, start).finish;
-  sched.run_data();
-  return finish;
+  return sched.run(cluster, start).finish;
 }
 
 }  // namespace

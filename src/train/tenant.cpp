@@ -42,7 +42,7 @@ simnet::JobBody make_tenant_body(const TenantWorkload& workload) {
       const coll::RingGrid grid = coll::ring_grid(sched, groups, {}, w.wire);
       coll::build_ring_reduce_scatter(sched, groups, grid, elems, w.wire,
                                       /*fused_chains=*/true);
-      sched.sync(/*collapse=*/true);
+      sched.sync(/*collapse=*/true, "reduce_scatter");
       coll::build_ring_allgather(sched, groups, grid, elems, w.wire);
     }
     const coll::ScheduleOutcome out =

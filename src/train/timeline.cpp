@@ -104,9 +104,9 @@ IterationBreakdown TrainingSimulator::simulate_with_io(
         break;
       }
       case Algorithm::kDense2dTorus: {
-        done = ready + coll::torus2d_allreduce(cluster, {}, bucket.elems,
-                                               options_.dense_wire, ready)
-                           .total;
+        done = coll::torus2d_allreduce(cluster, {}, bucket.elems,
+                                       options_.dense_wire, ready)
+                   .finish;
         break;
       }
       case Algorithm::kTopkNaiveAg: {
@@ -122,12 +122,11 @@ IterationBreakdown TrainingSimulator::simulate_with_io(
         compress_free = compressed;
         const double accumulate = gpu_.scatter_add_seconds(
             static_cast<size_t>(topology_.world_size()) * k);
-        done = compressed +
-               coll::naive_sparse_allgather_time(
+        done = coll::naive_sparse_allgather_time(
                    cluster, k,
                    coll::wire_elem_bytes(options_.sparse_value_wire),
                    accumulate, compressed)
-                   .total;
+                   .finish;
         break;
       }
       case Algorithm::kMstopkHitopk: {
@@ -135,11 +134,8 @@ IterationBreakdown TrainingSimulator::simulate_with_io(
         hi.density = options_.density;
         hi.value_wire = options_.sparse_value_wire;
         hi.mstopk_samplings = options_.mstopk_samplings;
-        hi.mstopk_histogram = options_.mstopk_histogram;
         hi.gpu = &gpu_;
-        const auto breakdown =
-            coll::hitopk_comm(cluster, {}, bucket.elems, hi, ready);
-        done = ready + breakdown.total;
+        done = coll::hitopk_comm(cluster, {}, bucket.elems, hi, ready).finish;
         break;
       }
     }

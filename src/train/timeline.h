@@ -46,9 +46,6 @@ struct TrainerOptions {
   bool overlap_comm = true;  // wait-free backpropagation
   size_t fusion_bytes = size_t{64} << 20;
   int mstopk_samplings = 30;
-  // Single-pass histogram MSTopK (default) vs the legacy multi-pass search
-  // in the functional HiTopKComm path.
-  bool mstopk_histogram = true;
   // Coefficient of variation of per-GPU compute time (virtualization
   // jitter).  Synchronous SGD waits for the slowest of P workers; the
   // expected straggler penalty is modelled by the Gaussian order statistic

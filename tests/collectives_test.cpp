@@ -283,9 +283,11 @@ TEST(Torus2d, BreakdownSumsToTotal) {
   Topology topo = fabric(4, 4);
   Cluster cluster(topo);
   const auto b = torus2d_allreduce(cluster, {}, 100000, WireDtype::kFp32, 0.0);
-  EXPECT_NEAR(b.reduce_scatter + b.inter_allreduce + b.intra_allgather,
+  EXPECT_NEAR(b.seconds("reduce_scatter") + b.seconds("inter_allreduce") +
+                  b.seconds("intra_allgather"),
               b.total, 1e-12);
-  EXPECT_GT(b.inter_allreduce, b.reduce_scatter);  // slow NIC dominates
+  // The slow NIC dominates.
+  EXPECT_GT(b.seconds("inter_allreduce"), b.seconds("reduce_scatter"));
 }
 
 TEST(Torus2d, BeatsTreeOnCloudTopology) {
@@ -513,10 +515,10 @@ TEST(HiTopKComm, BreakdownSumsToTotal) {
   HiTopKOptions options;
   options.density = 0.01;
   const auto b = hitopk_comm(cluster, {}, 1 << 20, options, 0.0);
-  EXPECT_NEAR(b.reduce_scatter + b.mstopk + b.inter_allgather +
-                  b.intra_allgather,
+  EXPECT_NEAR(b.seconds("reduce_scatter") + b.seconds("mstopk") +
+                  b.seconds("inter_allgather") + b.seconds("intra_allgather"),
               b.total, 1e-12);
-  EXPECT_GT(b.inter_allgather, 0.0);
+  EXPECT_GT(b.seconds("inter_allgather"), 0.0);
 }
 
 TEST(HiTopKComm, ErrorFeedbackCarriesResidual) {
@@ -578,8 +580,8 @@ TEST(Fig7Ordering, InterAllGatherDominatesHiTopKBreakdown) {
   HiTopKOptions options;
   options.density = 0.01;
   const auto b = hitopk_comm(cluster, {}, 25'000'000, options, 0.0);
-  EXPECT_GT(b.inter_allgather, b.reduce_scatter);
-  EXPECT_GT(b.inter_allgather, b.intra_allgather);
+  EXPECT_GT(b.seconds("inter_allgather"), b.seconds("reduce_scatter"));
+  EXPECT_GT(b.seconds("inter_allgather"), b.seconds("intra_allgather"));
 }
 
 }  // namespace

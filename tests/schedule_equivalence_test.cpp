@@ -42,6 +42,7 @@
 #include "compress/exact_topk.h"
 #include "core/rng.h"
 #include "core/tensor.h"
+#include "simgpu/gpu_model.h"
 #include "train/checkpoint.h"
 
 namespace hitopk::coll {
@@ -134,16 +135,11 @@ void expect_clock(double actual, double frozen, const std::string& what) {
                                    << std::setprecision(17) << actual;
 }
 
-// A digest plus the finish clock of one call.  A few shapes take a
-// different functional path than their timing-only twin (torus2d's ragged
-// fallback), so that clock is frozen separately; < 0 means "same".
+// A digest plus the finish clock of one call (functional and timing-only
+// calls share the clock).
 struct Frozen {
   uint64_t digest;
   double finish;
-  double timing_only = -1.0;
-  double timing_only_finish() const {
-    return timing_only < 0 ? finish : timing_only;
-  }
 };
 
 template <typename Key>
@@ -179,8 +175,7 @@ void check_oracles(const Topology& topo, size_t elems, uint64_t seed,
   }
   expect_digest(buffers, frozen.digest, what);
   Cluster cluster(topo);
-  expect_clock(fn(cluster, RankData{}), frozen.timing_only_finish(),
-               what + " timing-only");
+  expect_clock(fn(cluster, RankData{}), frozen.finish, what + " timing-only");
 }
 
 // The check for an All-Reduce over the whole world.
@@ -308,8 +303,13 @@ TEST(RingEquivalence, AllReduceMultiTwoCrossNodeStreams) {
         }
       }
     }
-    return ring_allreduce_multi(cluster, groups, data, elems,
-                                WireDtype::kFp32, 0.25);
+    // Both rings in one schedule, with no sync: each group's gather
+    // chains off its own reduce-scatter slots.
+    Schedule sched;
+    const RingGrid grid = ring_grid(sched, groups, data, WireDtype::kFp32);
+    build_ring_reduce_scatter(sched, groups, grid, elems, WireDtype::kFp32);
+    build_ring_allgather(sched, groups, grid, elems, WireDtype::kFp32);
+    return sched.run(cluster, 0.25).finish;
   };
   const Frozen frozen{0xb40dac3ace2c64d5, 0.25004680000000007};
   {
@@ -395,7 +395,7 @@ INSTANTIATE_TEST_SUITE_P(Shapes, TreeEquivalenceTest,
 TEST(HierEquivalence, BreakdownAndBuffers) {
   const Topology topo = fabric(3, 4);
   const size_t elems = 77;
-  HierArBreakdown b;
+  PhaseReport b;
   const Frozen frozen{0x361eb5c23729a3ed, 5.2007999999992283e-05};
   check_oracles(topo, elems, 60, frozen, "hier",
                 [&](Cluster& c, const RankData& data) {
@@ -403,10 +403,11 @@ TEST(HierEquivalence, BreakdownAndBuffers) {
                   return b.total;
                 },
                 world_sum(topo));
-  expect_clock(b.intra_reduce, 3.9240000000162478e-06, "hier intra_reduce");
-  expect_clock(b.inter_allreduce, 4.4159999999959787e-05,
+  expect_clock(b.seconds("intra_reduce"), 3.9240000000162478e-06,
+               "hier intra_reduce");
+  expect_clock(b.seconds("inter_allreduce"), 4.4159999999959787e-05,
                "hier inter_allreduce");
-  expect_clock(b.intra_broadcast, 3.9240000000162478e-06,
+  expect_clock(b.seconds("intra_broadcast"), 3.9240000000162478e-06,
                "hier intra_broadcast");
 }
 
@@ -428,12 +429,12 @@ const std::map<FabricElems, FrozenTorus> kTorus{
       {3.2879999999999997e-06, 2.2400000000000002e-05,
        3.2880000000000031e-06}}},
     {{{2, 4}, 97},
-     {{0x201820327275325, 6.0520000000000003e-05, 2.9200000000000002e-05},
-      {3.3000000000000002e-06, 5.3920000000000006e-05,
+     {{0x201820327275325, 2.9080000000000003e-05},
+      {3.3000000000000002e-06, 2.2480000000000005e-05,
        3.2999999999999989e-06}}},
     {{{3, 3}, 97},
-     {{0x766ae20c716e4b09, 0.00010980800000000003, 4.716800000000002e-05},
-      {2.2639999999999998e-06, 0.00010528000000000002,
+     {{0x766ae20c716e4b09, 4.716800000000002e-05},
+      {2.2639999999999998e-06, 4.2640000000000019e-05,
        2.2640000000000041e-06}}},
     {{{4, 2}, 64},
      {{0x4c115be6c9e4d1a5, 6.4496000000000014e-05},
@@ -450,22 +451,42 @@ TEST_P(TorusEquivalenceTest, BreakdownAndBuffers) {
   const auto it = kTorus.find(GetParam());
   ASSERT_NE(it, kTorus.end());
   const FrozenTorus& frozen = it->second;
-  Torus2dBreakdown b;
+  PhaseReport functional, timing_only;
   check_oracles(topo, elems, 70 + elems, frozen.total, "torus",
                 [&](Cluster& c, const RankData& data) {
-                  const auto r =
+                  const PhaseReport r =
                       torus2d_allreduce(c, data, elems, WireDtype::kFp32, 0.0);
-                  if (!data.empty()) b = r;  // the functional phases
+                  (data.empty() ? timing_only : functional) = r;
                   return r.total;
                 },
                 world_sum(topo));
-  expect_clock(b.reduce_scatter, frozen.phases[0], "torus reduce_scatter");
-  expect_clock(b.inter_allreduce, frozen.phases[1], "torus inter_allreduce");
-  expect_clock(b.intra_allgather, frozen.phases[2], "torus intra_allgather");
+  const char* labels[] = {"reduce_scatter", "inter_allreduce",
+                          "intra_allgather"};
+  for (int p = 0; p < 3; ++p) {
+    expect_clock(functional.seconds(labels[p]), frozen.phases[p],
+                 std::string("torus ") + labels[p]);
+    // Data or no data, the collective replays one schedule.
+    EXPECT_EQ(timing_only.seconds(labels[p]), functional.seconds(labels[p]))
+        << labels[p];
+  }
+  EXPECT_EQ(timing_only.finish, functional.finish);
+
+  // Independent bound for ragged sizes: the clock is monotone in elems, so
+  // it lies between the clocks at the nearest multiples of n around it.
+  auto clock_at = [&](size_t count) {
+    Cluster c(topo);
+    return torus2d_allreduce(c, {}, count, WireDtype::kFp32, 0.0).finish;
+  };
+  const size_t below = elems / static_cast<size_t>(n) * static_cast<size_t>(n);
+  const size_t above = below + (elems % static_cast<size_t>(n) != 0
+                                    ? static_cast<size_t>(n)
+                                    : 0);
+  EXPECT_LE(clock_at(below), functional.finish);
+  EXPECT_GE(clock_at(above), functional.finish);
 }
 
-// 96 divides evenly by every n here (the one-schedule path); 97 exercises
-// the ragged functional fallback (per-stream sequential phase 2).
+// 96 and 64 divide evenly by every n here; 97 gives the streams ragged
+// shards of different sizes.
 INSTANTIATE_TEST_SUITE_P(
     Shapes, TorusEquivalenceTest,
     ::testing::Values(std::pair{std::pair{2, 4}, size_t{96}},
@@ -478,7 +499,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(ParamServerEquivalence, BreakdownAndBuffers) {
   const Topology topo = fabric(3, 2);
   const size_t elems = 101;
-  ParamServerResult b;
+  PhaseReport b;
   const Frozen frozen{0x57a33b9b4345d601, 0.00011858800000000001};
   check_oracles(topo, elems, 80, frozen, "ps",
                 [&](Cluster& c, const RankData& data) {
@@ -487,8 +508,8 @@ TEST(ParamServerEquivalence, BreakdownAndBuffers) {
                   return b.total;
                 },
                 world_sum(topo));
-  expect_clock(b.push, 6.0428000000000005e-05, "ps push");
-  expect_clock(b.pull, 5.8160000000000006e-05, "ps pull");
+  expect_clock(b.seconds("push"), 6.0428000000000005e-05, "ps push");
+  expect_clock(b.seconds("pull"), 5.8160000000000006e-05, "ps pull");
 }
 
 // ------------------------------------------------------------ HiTopKComm
@@ -534,12 +555,13 @@ TEST(HiTopKEquivalence, FunctionalWithErrorFeedback) {
   std::vector<Tensor> buffers = random_buffers(topo.world_size(), elems, 90);
   compress::ErrorFeedback ef;
   Cluster cluster(topo);
-  const HiTopKBreakdown b = run(cluster, spans_of(buffers), &ef);
+  const PhaseReport b = run(cluster, spans_of(buffers), &ef);
   expect_digest(buffers, 0xae516efc7f17dd25, "hitopk");
-  expect_clock(b.reduce_scatter, 3.7560000000000001e-06,
+  expect_clock(b.seconds("reduce_scatter"), 3.7560000000000001e-06,
                "hitopk reduce_scatter");
-  expect_clock(b.inter_allgather, 1.096e-05, "hitopk inter_allgather");
-  expect_clock(b.intra_allgather, 3.1440000000000007e-06,
+  expect_clock(b.seconds("inter_allgather"), 1.096e-05,
+               "hitopk inter_allgather");
+  expect_clock(b.seconds("intra_allgather"), 3.1440000000000007e-06,
                "hitopk intra_allgather");
   expect_clock(b.total, 1.7860000000000002e-05, "hitopk total");
   expect_clock(ef.residual_sq_norm(), 1492.256882309176,
@@ -547,6 +569,89 @@ TEST(HiTopKEquivalence, FunctionalWithErrorFeedback) {
   Cluster timing_only(topo);
   expect_clock(run(timing_only, {}, nullptr).total, 1.7860000000000002e-05,
                "hitopk total timing-only");
+}
+
+// An {8, 8, 4, 4} spot fleet: shards are dealt round-robin to the small
+// nodes' GPUs, step 1 is the direct fan-in, and the EF keys carry the
+// shard.  Pinned per value wire: digest, the four phase clocks (a device
+// model makes MSTopK non-zero), the EF residual norm, and the timing-only
+// total.
+struct FrozenHiTopK {
+  WireDtype wire;
+  uint64_t digest;
+  double phases[4];  // reduce_scatter, mstopk, inter/intra_allgather
+  double residual_sq_norm;
+  double timing_only_total;
+  size_t intra_node_bytes;  // of the functional call
+  size_t inter_node_bytes;
+};
+
+TEST(HiTopKEquivalence, UnevenFleetWithErrorFeedback) {
+  const Topology topo(std::vector<int>{8, 8, 4, 4}, LinkParams{1e-6, 1e-9},
+                      LinkParams{1e-5, 1e-8});
+  const size_t elems = 1001;  // ragged: 1001 % 8 != 0
+  const simgpu::GpuCostModel gpu;
+  const FrozenHiTopK kFrozen[] = {
+      {WireDtype::kFp32,
+       0xdd8f20a3a01f4105,
+       {1.9527999999999993e-05, 0.00018002483333333334,
+        6.9322666666666747e-05, 1.336533333333342e-05},
+       17977.885097934894,
+       0.0002822408333333335,
+       107760,
+       4608},
+      {WireDtype::kFp16,
+       0x508bef17e2a29465,
+       {1.6263999999999999e-05, 0.00018002483333333334,
+        6.824266666666671e-05, 1.3029333333333443e-05},
+       17977.812186605646,
+       0.00027756083333333348,
+       60800,
+       3456},
+  };
+  for (const FrozenHiTopK& frozen : kFrozen) {
+    const std::string what =
+        std::string("hitopk uneven ") + wire_dtype_name(frozen.wire);
+    auto run = [&](Cluster& cluster, const RankData& data,
+                   compress::ErrorFeedback* ef) {
+      HiTopKOptions options;
+      options.density = 0.05;
+      options.seed = 7;
+      options.value_wire = frozen.wire;
+      options.gpu = &gpu;
+      options.error_feedback = ef;
+      return hitopk_comm(cluster, data, elems, options, 0.0);
+    };
+    std::vector<Tensor> buffers =
+        random_buffers(topo.world_size(), elems, 110);
+    compress::ErrorFeedback ef;
+    Cluster cluster(topo);
+    const auto b = run(cluster, spans_of(buffers), &ef);
+    expect_digest(buffers, frozen.digest, what);
+    // The bytes see every leg, including the small nodes' step-4 rings
+    // that the big nodes' clocks hide.
+    EXPECT_EQ(cluster.intra_node_bytes(), frozen.intra_node_bytes)
+        << "FROZEN " << what << " intra_node_bytes "
+        << cluster.intra_node_bytes();
+    EXPECT_EQ(cluster.inter_node_bytes(), frozen.inter_node_bytes)
+        << "FROZEN " << what << " inter_node_bytes "
+        << cluster.inter_node_bytes();
+    expect_clock(b.seconds("reduce_scatter"), frozen.phases[0],
+                 what + " reduce_scatter");
+    expect_clock(b.seconds("mstopk"), frozen.phases[1], what + " mstopk");
+    expect_clock(b.seconds("inter_allgather"), frozen.phases[2],
+                 what + " inter_allgather");
+    expect_clock(b.seconds("intra_allgather"), frozen.phases[3],
+                 what + " intra_allgather");
+    expect_clock(ef.residual_sq_norm(), frozen.residual_sq_norm,
+                 what + " residual_sq_norm");
+    expect_holds(
+        buffers, world_group(topo),
+        std::vector<float>(buffers[0].data(), buffers[0].data() + elems));
+    Cluster timing_only(topo);
+    expect_clock(run(timing_only, {}, nullptr).total, frozen.timing_only_total,
+                 what + " timing-only total");
+  }
 }
 
 // ------------------------------------------------------------ gTop-k
@@ -685,8 +790,10 @@ TEST(NaiveAgEquivalence, RaggedSparsePayloads) {
   const auto s = run(sparse, spans_of(buffers));
   expect_digest(buffers, 0x87bc67cd82b284d5, "naive");
   expect_clock(s.total, 0.0051554000000000322, "naive total");
-  expect_clock(s.allgather, 0.0050554000000000432, "naive allgather");
-  expect_clock(s.accumulate, 9.9999999999988987e-05, "naive accumulate");
+  expect_clock(s.seconds("allgather"), 0.0050554000000000432,
+               "naive allgather");
+  expect_clock(s.seconds("accumulate"), 9.9999999999988987e-05,
+               "naive accumulate");
   expect_clock(run(sparse, {}).total, 0.0051554000000000322,
                "naive total timing-only");
 }
@@ -713,8 +820,8 @@ TEST(NaiveAgGuards, SingleRankWorldIsGatherFree) {
   RankData data{out.span()};
   const auto r =
       coll::naive_sparse_allgather(cluster, sparse, data, 50, 4, 1e-3, 0.0);
-  EXPECT_DOUBLE_EQ(r.allgather, 0.0);  // no ring steps for one rank
-  EXPECT_DOUBLE_EQ(r.accumulate, 1e-3);
+  EXPECT_DOUBLE_EQ(r.seconds("allgather"), 0.0);  // no ring steps for one rank
+  EXPECT_DOUBLE_EQ(r.seconds("accumulate"), 1e-3);
   EXPECT_DOUBLE_EQ(r.total, 1e-3);
   float sum = 0.0f;
   for (size_t i = 0; i < 50; ++i) sum += out[i];
@@ -735,7 +842,7 @@ TEST(NaiveAgGuards, EmptySelectionsRideAsLatencyOnlyMessages) {
   const auto s = coll::naive_sparse_allgather(cluster, sparse,
                                               spans_of(buffers), elems, 4, 0.0,
                                               0.0);
-  EXPECT_GT(s.allgather, 0.0);  // alpha per step survives
+  EXPECT_GT(s.seconds("allgather"), 0.0);  // alpha per step survives
   expect_clock(s.total, 0.0030300000000000001, "naive empty");
   for (const auto& t : buffers) {
     for (size_t i = 0; i < elems; ++i) ASSERT_EQ(t[i], 0.0f);  // empty sum
@@ -804,11 +911,22 @@ TEST_P(BlueConnectShapeTest, AllRanksConvergeToTheSum) {
   options.factors = factors;
   const auto r =
       blueconnect_allreduce(cluster, spans_of(buffers), elems, options, 0.0);
-  EXPECT_EQ(r.stages, options.factors.empty()
-                          ? (m == 1 || n == 1 ? 1u : 2u)
-                          : options.factors.size());
+  // One "reduce_scatter" and one "allgather" phase per stage.
+  const size_t stages = options.factors.empty()
+                            ? (m == 1 || n == 1 ? 1u : 2u)
+                            : options.factors.size();
+  for (const char* label : {"reduce_scatter", "allgather"}) {
+    EXPECT_EQ(std::count_if(r.phases.begin(), r.phases.end(),
+                            [&](const PhaseReport::Phase& p) {
+                              return std::string(p.label) == label;
+                            }),
+              static_cast<std::ptrdiff_t>(stages))
+        << label;
+  }
+  EXPECT_EQ(r.phases.size(), 2 * stages);
   EXPECT_GT(r.total, 0.0);
-  EXPECT_DOUBLE_EQ(r.total, r.reduce_scatter + r.allgather);
+  EXPECT_DOUBLE_EQ(r.total,
+                   r.seconds("reduce_scatter") + r.seconds("allgather"));
   for (size_t rank = 0; rank < buffers.size(); ++rank) {
     for (size_t i = 0; i < elems; ++i) {
       ASSERT_EQ(buffers[rank][i], buffers[0][i]) << rank << "," << i;
@@ -853,18 +971,36 @@ TEST(Schedule, SyncCollapseAndMarks) {
   const uint32_t slots = sched.add_slots(2);
   sched.send(0, 1, 1000, slots, slots + 1);
   sched.end_step();
-  sched.sync(/*collapse=*/false);  // mark only: slot 0 still at start
+  sched.sync(/*collapse=*/false, "a");  // mark only: slot 0 still at start
   sched.send(1, 0, 1000, slots + 1, slots);
   sched.end_step();
-  sched.sync(/*collapse=*/true);
+  sched.sync(/*collapse=*/true, "b");
   sched.send(0, 1, 1000, slots, slots + 1);
-  const auto timing = sched.run_timing(cluster, 1.0);
-  ASSERT_EQ(timing.sync_times.size(), 2u);
+  const PhaseReport timing = sched.run_timing(cluster, 1.0);
+  // Two closed phases plus the unlabelled tail after the last sync.
+  ASSERT_EQ(timing.phases.size(), 3u);
+  EXPECT_STREQ(timing.phases[0].label, "a");
+  EXPECT_STREQ(timing.phases[1].label, "b");
+  EXPECT_STREQ(timing.phases[2].label, "");
   // First hop: 1e-6 latency + 1000 * 1e-9 s/B.
   const double hop = 1e-6 + 1000e-9;
-  EXPECT_DOUBLE_EQ(timing.sync_times[0], 1.0 + hop);
-  EXPECT_DOUBLE_EQ(timing.sync_times[1], 1.0 + 2 * hop);
+  EXPECT_DOUBLE_EQ(timing.start + timing.seconds("a"), 1.0 + hop);
+  EXPECT_DOUBLE_EQ(timing.start + timing.seconds("a") + timing.seconds("b"),
+                   1.0 + 2 * hop);
   EXPECT_DOUBLE_EQ(timing.finish, 1.0 + 3 * hop);
+  EXPECT_DOUBLE_EQ(timing.total, timing.finish - 1.0);
+}
+
+TEST(Schedule, ReportSumsRepeatedLabels) {
+  PhaseReport report(2.0);
+  report.close("x", 3.0);
+  report.close("y", 3.5);
+  report.close("x", 5.0);
+  EXPECT_DOUBLE_EQ(report.seconds("x"), 2.5);
+  EXPECT_DOUBLE_EQ(report.seconds("y"), 0.5);
+  EXPECT_DOUBLE_EQ(report.seconds("z"), 0.0);
+  EXPECT_DOUBLE_EQ(report.finish, 5.0);
+  EXPECT_DOUBLE_EQ(report.total, 3.0);
 }
 
 TEST(Schedule, DataPassKeepsPerDestinationOrder) {
@@ -1309,7 +1445,7 @@ TEST_P(JobIdInvarianceTest, SingleJobClocksIndependentOfJobId) {
   const RingGrid grid = ring_grid(sched, groups, {});
   build_ring_reduce_scatter(sched, groups, grid, elems, coll::WireDtype::kFp32,
                             /*fused_chains=*/true);
-  sched.sync(/*collapse=*/true);
+  sched.sync(/*collapse=*/true, "reduce_scatter");
   build_ring_allgather(sched, groups, grid, elems, coll::WireDtype::kFp32);
 
   Cluster as_default(topo);
@@ -1317,9 +1453,10 @@ TEST_P(JobIdInvarianceTest, SingleJobClocksIndependentOfJobId) {
   const auto a = sched.run_timing(as_default, 0.25);
   const auto b = sched.run_timing(as_tenant, 0.25, /*job=*/9);
   EXPECT_DOUBLE_EQ(a.finish, b.finish);
-  ASSERT_EQ(a.sync_times.size(), b.sync_times.size());
-  for (size_t i = 0; i < a.sync_times.size(); ++i) {
-    EXPECT_DOUBLE_EQ(a.sync_times[i], b.sync_times[i]);
+  ASSERT_EQ(a.phases.size(), b.phases.size());
+  for (size_t i = 0; i < a.phases.size(); ++i) {
+    EXPECT_STREQ(a.phases[i].label, b.phases[i].label);
+    EXPECT_DOUBLE_EQ(a.phases[i].seconds, b.phases[i].seconds);
   }
   EXPECT_DOUBLE_EQ(as_default.quiescent_time(), as_tenant.quiescent_time());
   EXPECT_EQ(as_default.inter_node_bytes(), as_tenant.inter_node_bytes());

@@ -149,8 +149,8 @@ TEST(ValidatorMoves, NonMonotoneStepRejected) {
 
 TEST(ValidatorSyncs, NonMonotoneStepRejected) {
   OwnedView v;
-  v.syncs.push_back({3, true});
-  v.syncs.push_back({1, false});
+  v.syncs.push_back({3, true, "a"});
+  v.syncs.push_back({1, false, "b"});
   expect_rejected(v);
 }
 
@@ -367,7 +367,7 @@ TEST_P(BuilderValidationTest, AllBuildersPass) {
     const RingGrid grid = ring_grid(sched, groups, group_data);
     build_ring_reduce_scatter(sched, groups, grid, elems, WireDtype::kFp32,
                               /*fused_chains=*/true);
-    sched.sync(/*collapse=*/true);
+    sched.sync(/*collapse=*/true, "reduce_scatter");
     build_ring_allgather(sched, groups, grid, elems, WireDtype::kFp32);
     // A single-rank "All-Reduce" records no moves, so its buffer is
     // legitimately never written; coverage only binds real exchanges.
@@ -455,7 +455,7 @@ TEST(BuilderValidation, QuantizedBuildersPass) {
       const RingGrid grid = ring_grid(sched, groups, group_data, wire);
       build_ring_reduce_scatter(sched, groups, grid, elems, wire,
                                 /*fused_chains=*/true);
-      sched.sync(/*collapse=*/true);
+      sched.sync(/*collapse=*/true, "reduce_scatter");
       build_ring_allgather(sched, groups, grid, elems, wire);
       expect_valid(sched, topo, /*full_coverage=*/true);
     }

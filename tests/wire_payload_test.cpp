@@ -222,7 +222,7 @@ TEST(Fp16HalvesBytes, RecordedSendBytesHalve) {
         coll::ring_grid(sched, groups, group_data, wire);
     coll::build_ring_reduce_scatter(sched, groups, grid, elems, wire,
                                     /*fused_chains=*/true);
-    sched.sync(/*collapse=*/true);
+    sched.sync(/*collapse=*/true, "reduce_scatter");
     coll::build_ring_allgather(sched, groups, grid, elems, wire);
     return sched;
   };
@@ -417,8 +417,8 @@ TEST(HiTopKUneven, TimingOnlyAdvancesClocksAndBytes) {
   const auto breakdown =
       coll::hitopk_comm(cluster, {}, 1u << 18, options, 0.0);
   EXPECT_GT(breakdown.total, 0.0);
-  EXPECT_GT(breakdown.reduce_scatter, 0.0);
-  EXPECT_GT(breakdown.inter_allgather, 0.0);
+  EXPECT_GT(breakdown.seconds("reduce_scatter"), 0.0);
+  EXPECT_GT(breakdown.seconds("inter_allgather"), 0.0);
   EXPECT_GT(cluster.inter_node_bytes(), 0u);
   EXPECT_LT(cluster.inter_node_bytes(), cluster.intra_node_bytes());
 }
