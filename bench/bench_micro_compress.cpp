@@ -7,9 +7,11 @@
 // paper-literal multi-pass binary search; main() first prints a selection-
 // quality validation of the histogram variant (exactly k selected, magnitude
 // -mass overlap vs exact top-k) so the speedup numbers are read alongside
-// proof that the fast path still selects the right elements.
+// proof that the fast path still selects the right elements.  Exact top-k
+// is timed against a bench-local textbook std::nth_element selection.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -43,20 +45,6 @@ void BM_ExactTopK(benchmark::State& state) {
                           static_cast<int64_t>(d));
 }
 BENCHMARK(BM_ExactTopK)->Arg(1 << 16)->Arg(1 << 20)->Arg(1 << 23);
-
-void BM_ExactTopKLegacy(benchmark::State& state) {
-  // The packed-key nth_element reference (TopKSelect::kNthElement) —
-  // bit-identical output, kept as the timing baseline for the histogram.
-  const size_t d = static_cast<size_t>(state.range(0));
-  const Tensor x = gaussian(d, 1);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(compress::exact_topk(
-        x.span(), d / 1000, compress::TopKSelect::kNthElement));
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(d));
-}
-BENCHMARK(BM_ExactTopKLegacy)->Arg(1 << 16)->Arg(1 << 20)->Arg(1 << 23);
 
 void BM_DgcTopK(benchmark::State& state) {
   const size_t d = static_cast<size_t>(state.range(0));
@@ -143,13 +131,40 @@ void BM_HiTopKCommFunctional(benchmark::State& state) {
 }
 BENCHMARK(BM_HiTopKCommFunctional);
 
+// Textbook exact top-k, the timing baseline for the histogram selection:
+// std::nth_element over (|x|, index) pairs ordered by magnitude
+// descending, ties to the lower index, then the winners sorted by index.
+// Same selection as compress::exact_topk on any input without NaNs.
+compress::SparseTensor nth_element_topk(std::span<const float> x, size_t k) {
+  struct Entry {
+    float magnitude;
+    uint32_t index;
+  };
+  std::vector<Entry> entries(x.size());
+  for (size_t i = 0; i < x.size(); ++i) {
+    entries[i] = {std::fabs(x[i]), static_cast<uint32_t>(i)};
+  }
+  std::nth_element(entries.begin(),
+                   entries.begin() + static_cast<long>(k - 1), entries.end(),
+                   [](const Entry& a, const Entry& b) {
+                     return a.magnitude > b.magnitude ||
+                            (a.magnitude == b.magnitude && a.index < b.index);
+                   });
+  compress::SparseTensor out;
+  out.dense_size = x.size();
+  for (size_t i = 0; i < k; ++i) out.indices.push_back(entries[i].index);
+  std::sort(out.indices.begin(), out.indices.end());
+  for (const uint32_t i : out.indices) out.values.push_back(x[i]);
+  return out;
+}
+
 // Selection-quality + speedup validation at the acceptance point (d = 1M,
 // density 0.001), emitted to stdout and BENCH_compress.json (schema in
 // docs/REPRODUCING.md) so the perf trajectory is tracked across PRs:
 //   - MSTopK histogram vs legacy multi-pass: exactly k selected, >= 99% of
 //     exact top-k magnitude mass, and meaningfully faster.
-//   - exact top-k histogram vs nth_element reference: bit-identical indices
-//     AND values (the threshold_select contract), and meaningfully faster.
+//   - exact top-k histogram vs the textbook nth_element baseline:
+//     bit-identical indices AND values, and meaningfully faster.
 // The deterministic criteria and a conservative speedup floor are enforced
 // — returns false so the binary exits non-zero instead of "validating"
 // silently.
@@ -177,16 +192,15 @@ bool validate_and_report() {
   const double hist_s = mstopk_seconds(hist);
   const double legacy_s = mstopk_seconds(legacy);
 
-  auto topk_seconds = [&](compress::TopKSelect algo) {
-    compress::exact_topk(x.span(), k, algo);  // warm-up
+  auto topk_seconds = [&](auto select) {
+    select(x.span(), k);  // warm-up
     const auto begin = clock::now();
-    for (int r = 0; r < 5; ++r) compress::exact_topk(x.span(), k, algo);
+    for (int r = 0; r < 5; ++r) select(x.span(), k);
     return std::chrono::duration<double>(clock::now() - begin).count() / 5;
   };
-  const double topk_hist_s = topk_seconds(compress::TopKSelect::kHistogram);
-  const double topk_nth_s = topk_seconds(compress::TopKSelect::kNthElement);
-  const compress::SparseTensor topk_ref =
-      compress::exact_topk(x.span(), k, compress::TopKSelect::kNthElement);
+  const double topk_hist_s = topk_seconds(compress::exact_topk);
+  const double topk_nth_s = topk_seconds(nth_element_topk);
+  const compress::SparseTensor topk_ref = nth_element_topk(x.span(), k);
   const bool topk_identical =
       exact.indices == topk_ref.indices && exact.values == topk_ref.values;
 
@@ -234,7 +248,7 @@ bool validate_and_report() {
   if (!topk_identical) {
     std::fprintf(stderr,
                  "FAIL: histogram exact top-k not bit-identical to the "
-                 "nth_element reference\n");
+                 "nth_element baseline\n");
     ok = false;
   }
   // Wall-clock floors kept below the observed speedups so a loaded CI

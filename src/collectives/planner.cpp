@@ -61,6 +61,25 @@ std::string factors_name(const std::vector<int>& factors) {
   return name + "}";
 }
 
+// True when `group` is the full world in rank order — the membership the
+// whole-world hierarchical candidates and gTop-k are defined over.
+bool is_world_order(const simnet::Topology& topo, const Group& group) {
+  if (static_cast<int>(group.size()) != topo.world_size()) return false;
+  for (size_t i = 0; i < group.size(); ++i) {
+    if (group[i] != static_cast<int>(i)) return false;
+  }
+  return true;
+}
+
+// The gTop-k candidate's options: the requested density, values on the
+// planner's wire.
+GtopkOptions gtopk_options(double density, WireDtype wire) {
+  GtopkOptions gopts;
+  gopts.density = density;
+  gopts.value_wire_bytes = wire_elem_bytes(wire);
+  return gopts;
+}
+
 // Reindexes group-position data into ring-order position data.
 RankData permute_data(const Group& group, const Group& order,
                       const RankData& data) {
@@ -242,30 +261,35 @@ bool Planner::build_candidate(Schedule& sched, const simnet::Topology& topo,
   return false;
 }
 
-double Planner::score(const simnet::Topology& topo, const Candidate& cand,
-                      const Group& group, size_t elems, double density) const {
-  // Every candidate is replayed against a fresh cluster from t = 0: the
-  // score is the schedule's intrinsic cost on this topology, not its cost
-  // amid whatever traffic the caller's cluster is carrying.
-  simnet::Cluster fresh(topo);
+double Planner::score(const simnet::Cluster& base, const Candidate& cand,
+                      const Group& group, size_t elems, double density,
+                      int job, double start) const {
+  // What-if replay on a copy of the base cluster's reservation state: the
+  // score is the candidate's duration amid the traffic other tenants
+  // already hold (none on a fresh base).  Scoring must never observe
+  // scripted faults (it is a hypothetical, not a fault replay), so the copy
+  // drops the plan.
+  simnet::Cluster replica = base;
+  replica.set_fault_plan(nullptr);
   if (cand.algorithm == PlanAlgorithm::kGtopk) {
-    GtopkOptions gopts;
-    gopts.density = density;
-    gopts.value_wire_bytes = wire_elem_bytes(options_.wire);
-    return gtopk_comm(fresh, {}, elems, gopts, 0.0).total;
+    return gtopk_comm(replica, {}, elems,
+                      gtopk_options(density, options_.wire), start)
+        .total;
   }
   Schedule sched;
-  build_candidate(sched, topo, cand, group, {}, elems);
+  build_candidate(sched, base.topology(), cand, group, {}, elems);
   if (options_.validate) {
     ValidatorOptions vopts;
-    vopts.world_size = topo.world_size();
+    vopts.world_size = base.world_size();
     ScheduleValidator(vopts).validate(sched);
   }
-  return sched.run_timing(fresh, 0.0).finish;
+  return sched.run_timing(replica, start, job).finish - start;
 }
 
-PlanChoice Planner::plan_impl(const simnet::Topology& topo, const Group& group,
-                              bool full_world, size_t elems, double density) {
+PlanChoice Planner::plan_group(const simnet::Cluster& cluster,
+                               const Group& group, size_t elems,
+                               double density, int job, double start) {
+  const simnet::Topology& topo = cluster.topology();
   HITOPK_VALIDATE(density > 0.0 && density <= 1.0)
       << "density" << density << "outside (0, 1]";
   for (int rank : group) {
@@ -295,170 +319,75 @@ PlanChoice Planner::plan_impl(const simnet::Topology& topo, const Group& group,
     choice.exact_sum = winner.exact_sum;
     choice.wire = winner.wire;
   };
+  auto score_at = [&](const Candidate& cand) {
+    return score(cluster, cand, group, elems, density, job, start);
+  };
 
-  const std::string key =
-      cache_key(topo, group, elems, density, options_.dense_density);
-  auto it = cache_.find(key);
-  if (it != cache_.end()) {
-    ++cache_hits_;
-    // The cache remembers the winning *configuration* for this bucket, but
-    // the never-lose guarantee must hold at the requested size, not the
-    // size that populated the bucket — so re-score the cached winner
-    // against the flat ring here and take the min.
-    const Candidate ring{PlanAlgorithm::kFlatRing, "ring", {}, group, true,
-                         options_.wire};
-    const double ring_t = score(topo, ring, group, elems, density);
-    int scored = 1;
-    const Candidate& cached = it->second;
-    if (cached.algorithm == PlanAlgorithm::kFlatRing &&
-        cached.ring_order == group) {
-      fill(ring, ring_t, ring_t, scored, true);
+  // An untouched cluster at start == 0 replays exactly like a fresh one, so
+  // its winner is a topology property and may be cached.  Under load the
+  // winner depends on transient state the topology-keyed cache must never
+  // memoize.
+  const bool cacheable = cluster.idle() && start == 0.0;
+  std::string key;
+  if (cacheable) {
+    key = cache_key(topo, group, elems, density, options_.dense_density);
+    if (auto it = cache_.find(key); it != cache_.end()) {
+      ++cache_hits_;
+      // The cache remembers the winning *configuration* for this bucket, but
+      // the never-lose guarantee must hold at the requested size, not the
+      // size that populated the bucket — so re-score the cached winner
+      // against the flat ring here and take the min.
+      const Candidate ring{PlanAlgorithm::kFlatRing, "ring", {}, group, true,
+                           options_.wire};
+      const double ring_t = score_at(ring);
+      const Candidate& cached = it->second;
+      if (cached.algorithm == PlanAlgorithm::kFlatRing &&
+          cached.ring_order == group) {
+        fill(ring, ring_t, ring_t, 1, true);
+        return choice;
+      }
+      const double cached_t = score_at(cached);
+      if (cached_t < ring_t) {
+        fill(cached, cached_t, ring_t, 2, true);
+      } else {
+        fill(ring, ring_t, ring_t, 2, true);
+      }
       return choice;
     }
-    const double cached_t = score(topo, cached, group, elems, density);
-    ++scored;
-    if (cached_t < ring_t) {
-      fill(cached, cached_t, ring_t, scored, true);
-    } else {
-      fill(ring, ring_t, ring_t, scored, true);
-    }
-    return choice;
   }
 
   const std::vector<Candidate> cands =
-      enumerate(topo, group, full_world, density);
+      enumerate(topo, group, is_world_order(topo, group), density);
   double ring_t = 0.0;
   double best_t = std::numeric_limits<double>::infinity();
   size_t best = 0;
   for (size_t i = 0; i < cands.size(); ++i) {
-    const double t = score(topo, cands[i], group, elems, density);
+    const double t = score_at(cands[i]);
     if (i == 0) ring_t = t;
     if (t < best_t) {  // strict: ties keep the earliest (the flat ring)
       best_t = t;
       best = i;
     }
   }
-  cache_.emplace(key, cands[best]);
+  if (cacheable) cache_.emplace(key, cands[best]);
   fill(cands[best], best_t, ring_t, static_cast<int>(cands.size()), false);
-  return choice;
-}
-
-double Planner::score_live(const simnet::Cluster& cluster,
-                           const Candidate& cand, const Group& group,
-                           size_t elems, double density, int job,
-                           double start) const {
-  // What-if replay on a copy of the live reservation state: the score is
-  // the candidate's duration amid the traffic other tenants already hold.
-  // Scoring must never observe scripted faults (it is a hypothetical, not a
-  // fault replay), so the copy drops the plan.
-  simnet::Cluster replica = cluster;
-  replica.set_fault_plan(nullptr);
-  if (cand.algorithm == PlanAlgorithm::kGtopk) {
-    GtopkOptions gopts;
-    gopts.density = density;
-    gopts.value_wire_bytes = wire_elem_bytes(options_.wire);
-    return gtopk_comm(replica, {}, elems, gopts, start).total;
-  }
-  Schedule sched;
-  build_candidate(sched, cluster.topology(), cand, group, {}, elems);
-  if (options_.validate) {
-    ValidatorOptions vopts;
-    vopts.world_size = cluster.topology().world_size();
-    ScheduleValidator(vopts).validate(sched);
-  }
-  return sched.run_timing(replica, start, job).finish - start;
-}
-
-PlanChoice Planner::plan_live(const simnet::Cluster& cluster,
-                              const Group& group, bool full_world,
-                              size_t elems, double density, int job,
-                              double start) {
-  HITOPK_VALIDATE(density > 0.0 && density <= 1.0)
-      << "density" << density << "outside (0, 1]";
-  for (int rank : group) {
-    HITOPK_VALIDATE(rank >= 0 && rank < cluster.world_size())
-        << "group rank" << rank << "outside world of" << cluster.world_size();
-  }
-
-  PlanChoice choice;
-  choice.ring_order = group;
-  if (group.size() <= 1) {
-    choice.name = "ring";
-    choice.candidates_scored = 1;
-    return choice;
-  }
-
-  // No cache: the winner depends on the cluster's transient load, which the
-  // topology-keyed cache must never memoize.
-  const std::vector<Candidate> cands =
-      enumerate(cluster.topology(), group, full_world, density);
-  double ring_t = 0.0;
-  double best_t = std::numeric_limits<double>::infinity();
-  size_t best = 0;
-  for (size_t i = 0; i < cands.size(); ++i) {
-    const double t =
-        score_live(cluster, cands[i], group, elems, density, job, start);
-    if (i == 0) ring_t = t;
-    if (t < best_t) {  // strict: ties keep the earliest (the flat ring)
-      best_t = t;
-      best = i;
-    }
-  }
-  choice.algorithm = cands[best].algorithm;
-  choice.name = cands[best].name;
-  choice.factors = cands[best].factors;
-  choice.ring_order = cands[best].ring_order;
-  choice.predicted_seconds = best_t;
-  choice.flat_ring_seconds = ring_t;
-  choice.candidates_scored = static_cast<int>(cands.size());
-  choice.exact_sum = cands[best].exact_sum;
-  choice.wire = cands[best].wire;
   return choice;
 }
 
 PlanChoice Planner::plan(const simnet::Topology& topo, size_t elems,
                          double density) {
-  return plan_impl(topo, world_group(topo), /*full_world=*/true, elems,
-                   density);
+  return plan_group(topo, world_group(topo), elems, density);
+}
+
+PlanChoice Planner::plan_group(const simnet::Topology& topo, const Group& group,
+                               size_t elems, double density) {
+  return plan_group(simnet::Cluster(topo), group, elems, density);
 }
 
 PlanChoice Planner::plan(const simnet::Cluster& cluster, size_t elems,
                          double density, int job, double start) {
   return plan_group(cluster, world_group(cluster.topology()), elems, density,
                     job, start);
-}
-
-PlanChoice Planner::plan_group(const simnet::Cluster& cluster,
-                               const Group& group, size_t elems,
-                               double density, int job, double start) {
-  // The idle-snapshot contract: an untouched cluster at start == 0 is
-  // indistinguishable from a fresh one, so delegate to the (cached)
-  // topology path and return its winners exactly.
-  if (cluster.idle() && start == 0.0) {
-    return plan_group(cluster.topology(), group, elems, density);
-  }
-  const bool full_world =
-      static_cast<int>(group.size()) == cluster.world_size() &&
-      [&] {
-        for (size_t i = 0; i < group.size(); ++i) {
-          if (group[i] != static_cast<int>(i)) return false;
-        }
-        return true;
-      }();
-  return plan_live(cluster, group, full_world, elems, density, job, start);
-}
-
-PlanChoice Planner::plan_group(const simnet::Topology& topo, const Group& group,
-                               size_t elems, double density) {
-  const bool full_world =
-      static_cast<int>(group.size()) == topo.world_size() &&
-      [&] {
-        for (size_t i = 0; i < group.size(); ++i) {
-          if (group[i] != static_cast<int>(i)) return false;
-        }
-        return true;
-      }();
-  return plan_impl(topo, group, full_world, elems, density);
 }
 
 double Planner::execute(simnet::Cluster& cluster, const RankData& data,
@@ -476,10 +405,9 @@ double Planner::execute(simnet::Cluster& cluster, const Group& group,
 
   const PlanChoice choice = plan_group(topo, group, elems, density);
   if (choice.algorithm == PlanAlgorithm::kGtopk) {
-    GtopkOptions gopts;
-    gopts.density = density;
-    gopts.value_wire_bytes = wire_elem_bytes(options_.wire);
-    return start + gtopk_comm(cluster, data, elems, gopts, start).total;
+    return start + gtopk_comm(cluster, data, elems,
+                              gtopk_options(density, options_.wire), start)
+                       .total;
   }
 
   // The executed schedule is record-for-record the scored one (the builders

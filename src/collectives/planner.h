@@ -139,11 +139,12 @@ class Planner {
   // cluster — reservation timelines included — from `start` under `job`, so
   // a candidate whose traffic pattern dodges the ports other tenants have
   // loaded can win, and predicted_seconds/flat_ring_seconds report the
-  // *duration* under that load.  An idle cluster with start == 0 delegates
-  // to the topology overloads above and returns their winners exactly
-  // (pinned); loaded calls bypass the winner cache, because load is
-  // transient state, not a cacheable topology property.  The flat-ring
-  // never-lose guarantee holds in both regimes.
+  // *duration* under that load.  The topology overloads above are these
+  // calls on a fresh Cluster(topo), so an idle cluster with start == 0
+  // returns their winners exactly (pinned) and shares their winner cache;
+  // any other call bypasses the cache, because load is transient state,
+  // not a cacheable topology property.  The flat-ring never-lose guarantee
+  // holds in both regimes.
   PlanChoice plan(const simnet::Cluster& cluster, size_t elems,
                   double density = 1.0, int job = simnet::kDefaultJob,
                   double start = 0.0);
@@ -186,16 +187,11 @@ class Planner {
   bool build_candidate(Schedule& sched, const simnet::Topology& topo,
                        const Candidate& cand, const Group& group,
                        const RankData& data, size_t elems) const;
-  double score(const simnet::Topology& topo, const Candidate& cand,
-               const Group& group, size_t elems, double density) const;
-  double score_live(const simnet::Cluster& cluster, const Candidate& cand,
-                    const Group& group, size_t elems, double density, int job,
-                    double start) const;
-  PlanChoice plan_impl(const simnet::Topology& topo, const Group& group,
-                       bool full_world, size_t elems, double density);
-  PlanChoice plan_live(const simnet::Cluster& cluster, const Group& group,
-                       bool full_world, size_t elems, double density, int job,
-                       double start);
+  // Duration of the candidate replayed from `start` under `job` on a copy
+  // of `base` with its fault plan dropped.
+  double score(const simnet::Cluster& base, const Candidate& cand,
+               const Group& group, size_t elems, double density, int job,
+               double start) const;
 
   PlannerOptions options_;
   std::unordered_map<std::string, Candidate> cache_;

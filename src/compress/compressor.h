@@ -32,7 +32,7 @@ class Compressor {
 };
 
 // Factory: name is one of "exact_topk", "dgc", "mstopk", "mstopk_legacy"
-// (the multi-pass validation reference), "random_k".  Throws CheckError for
+// (the paper-literal multi-pass Alg. 1), "random_k".  Throws ConfigError for
 // unknown names.
 std::unique_ptr<Compressor> make_compressor(const std::string& name,
                                             uint64_t seed = 42);

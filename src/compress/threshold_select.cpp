@@ -16,9 +16,9 @@ constexpr size_t kSlots = static_cast<size_t>(kThresholdBuckets) + 1;
 // Packed selection key: magnitude bits in the high word (IEEE-754
 // non-negative floats order like their bit patterns), inverted index in the
 // low word, so plain integer std::greater orders "larger magnitude first,
-// ties broken by lower index".  Shared by the reference path and the
+// ties broken by lower index".  Shared by the small-input path and the
 // histogram repair pass — using the identical comparator is what makes the
-// two algorithms bit-identical.
+// two return the same selection.
 static_assert(sizeof(size_t) == 8, "packed top-k keys need 64 bits");
 
 inline uint32_t magnitude_bits(float v) {
@@ -114,7 +114,8 @@ void histogram_count(std::span<const float> x, std::span<size_t> counts,
   }
 }
 
-// The reference selection: nth_element over all packed keys.
+// The small-input selection (x.size() < kHistogramMinSize): nth_element
+// over all packed keys.
 SparseTensor select_topk_nth(std::span<const float> x, size_t k) {
   SparseTensor out;
   out.dense_size = x.size();
@@ -309,14 +310,12 @@ MagnitudeBrackets bracket_kth_magnitude(std::span<const float> x, size_t k,
   return out;
 }
 
-SparseTensor select_topk(std::span<const float> x, size_t k, TopKSelect algo) {
+SparseTensor select_topk(std::span<const float> x, size_t k) {
   SparseTensor out;
   out.dense_size = x.size();
   k = std::min(k, x.size());
   if (k == 0) return out;
-  if (algo == TopKSelect::kNthElement || x.size() < kHistogramMinSize) {
-    return select_topk_nth(x, k);
-  }
+  if (x.size() < kHistogramMinSize) return select_topk_nth(x, k);
 
   // Counting pass on the log-spaced bit buckets (slot == bucket; slot
   // kThresholdBuckets stays empty) and suffix scan to the boundary.
@@ -375,9 +374,9 @@ SparseTensor select_topk(std::span<const float> x, size_t k, TopKSelect algo) {
   HITOPK_CHECK_EQ(n_cand, counts[scan.boundary]);
 
   // Exact boundary repair: the remaining (k - above) slots go to the best
-  // candidates under the reference comparator.  nth_element over just the
+  // candidates under the packed-key comparator.  nth_element over just the
   // boundary bucket (a half-octave of magnitudes; all of d only when every
-  // element shares one bucket) replaces the reference's nth_element over d.
+  // element shares one bucket) replaces a full nth_element over d.
   const size_t need = k - scan.above;
   if (need < n_cand) {
     std::nth_element(cand, cand + (need - 1), cand + n_cand,
@@ -393,12 +392,10 @@ SparseTensor select_topk(std::span<const float> x, size_t k, TopKSelect algo) {
   return out;
 }
 
-float topk_threshold(std::span<const float> x, size_t k, TopKSelect algo) {
+float topk_threshold(std::span<const float> x, size_t k) {
   if (k == 0 || x.empty()) return 0.0f;
   k = std::min(k, x.size());
-  if (algo == TopKSelect::kNthElement || x.size() < kHistogramMinSize) {
-    return topk_threshold_nth(x, k);
-  }
+  if (x.size() < kHistogramMinSize) return topk_threshold_nth(x, k);
 
   Scratch<size_t> counts(kSlots, /*zeroed=*/true);
   histogram_count(x, counts.span(),

@@ -13,16 +13,17 @@
 //     and needs no statistics pass, no width arithmetic, and no degenerate-
 //     range fallbacks: one counting pass, a suffix scan to the bucket
 //     holding the k-th magnitude, then an exact repair pass (nth_element
-//     over just that bucket's candidates, on the same packed magnitude/index
-//     keys the reference uses) resolves the boundary.  Elements in higher
+//     over just that bucket's candidates, on packed magnitude/index keys)
+//     resolves the boundary.  Elements in higher
 //     buckets have strictly larger magnitudes than every boundary-bucket
-//     element, so the selected set — indices AND values — is bit-identical
-//     to the nth_element reference for every input bit pattern.
+//     element, so the selected set — indices AND values — is exactly the
+//     first k entries of the full order by (magnitude bits descending,
+//     index ascending) for every input bit pattern.  Inputs shorter than
+//     kHistogramMinSize skip the histogram and run one nth_element over the
+//     same packed keys.
 //
-// TopKSelect::kNthElement keeps the reference path callable directly (the
-// validation twin, like MsTopKMode::kMultiPass for MSTopK);
-// tests/threshold_select_test.cpp pins the two paths bit-identical across
-// adversarial distributions.
+// tests/threshold_select_test.cpp checks both against a full std::sort on
+// that key across adversarial distributions.
 #pragma once
 
 #include <cstddef>
@@ -33,20 +34,14 @@
 
 namespace hitopk::compress {
 
-// Selection algorithm for exact top-k (exact_topk / exact_topk_threshold).
-enum class TopKSelect {
-  kHistogram,   // histogram boundary search + exact repair (fast path)
-  kNthElement,  // packed-key std::nth_element (validation reference)
-};
-
 // Bucket count shared by every histogram user (MSTopK brackets + exact
 // selection): 512 buckets bracket a threshold as tightly as 9 binary-search
 // counting passes (2^9 = 512) while reading the data once.
 inline constexpr int kThresholdBuckets = 512;
 
 // Below this size the histogram's fixed two-pass cost loses to a direct
-// nth_element; both paths return bit-identical results, so the cutoff is
-// purely a performance heuristic.
+// nth_element over the packed keys; both return the identical selection,
+// so the cutoff is purely a performance heuristic.
 inline constexpr size_t kHistogramMinSize = 2048;
 
 // Exact magnitude brackets around the k-th largest |x(i)| in two blocked
@@ -94,12 +89,10 @@ MagnitudeBrackets bracket_kth_magnitude(std::span<const float> x, size_t k,
                                         std::vector<uint32_t>* band = nullptr);
 
 // Exactly min(k, x.size()) elements with the largest |x(i)|, ties broken by
-// lower index; indices sorted ascending, values gathered from x.  Both
-// algorithms return bit-identical results for every input bit pattern.
-SparseTensor select_topk(std::span<const float> x, size_t k, TopKSelect algo);
+// lower index; indices sorted ascending, values gathered from x.
+SparseTensor select_topk(std::span<const float> x, size_t k);
 
-// The k-th largest |x(i)| (0 when k == 0 or x is empty).  Both algorithms
-// return the identical float.
-float topk_threshold(std::span<const float> x, size_t k, TopKSelect algo);
+// The k-th largest |x(i)| (0 when k == 0 or x is empty).
+float topk_threshold(std::span<const float> x, size_t k);
 
 }  // namespace hitopk::compress

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
 
 #include "collectives/common.h"
@@ -52,6 +53,30 @@ int fold_target(int w, const std::vector<int>& active) {
   return active.front();
 }
 
+// Rejects options no engine can run.  Called from the member-initializer
+// list, so it runs before any member is sized from the options.
+const ConvergenceOptions& validated(const ConvergenceOptions& o) {
+  HITOPK_VALIDATE(o.nodes > 0 && o.gpus_per_node > 0)
+      << "nodes and gpus_per_node must be positive, got" << o.nodes << "x"
+      << o.gpus_per_node;
+  HITOPK_VALIDATE(o.nodes <= std::numeric_limits<int>::max() / o.gpus_per_node)
+      << "world size" << o.nodes << "x" << o.gpus_per_node << "overflows";
+  HITOPK_VALIDATE(o.epochs > 0) << "epochs must be positive, got" << o.epochs;
+  HITOPK_VALIDATE(o.warmup_epochs >= 0)
+      << "warmup_epochs must be non-negative, got" << o.warmup_epochs;
+  HITOPK_VALIDATE(o.local_batch > 0)
+      << "local_batch must be positive, got" << o.local_batch;
+  HITOPK_VALIDATE(o.density > 0.0 && o.density <= 1.0)
+      << "density" << o.density << "outside (0, 1]";
+  HITOPK_VALIDATE(o.mstopk_samplings > 0)
+      << "mstopk_samplings must be positive, got" << o.mstopk_samplings;
+  HITOPK_VALIDATE(o.local_sgd_period > 0)
+      << "local_sgd_period must be positive, got" << o.local_sgd_period;
+  HITOPK_VALIDATE(std::isfinite(o.learning_rate))
+      << "learning_rate must be finite, got" << o.learning_rate;
+  return o;
+}
+
 int index_of(int value, const std::vector<int>& v) {
   for (size_t i = 0; i < v.size(); ++i) {
     if (v[i] == value) return static_cast<int>(i);
@@ -65,7 +90,7 @@ int index_of(int value, const std::vector<int>& v) {
 ConvergenceEngine::ConvergenceEngine(ConvergenceTask& task,
                                      const ConvergenceOptions& options)
     : task_(task),
-      options_(options),
+      options_(validated(options)),
       world_(options.world()),
       d_(task.param_count()),
       global_batch_(static_cast<size_t>(world_) *
@@ -83,19 +108,21 @@ ConvergenceEngine::ConvergenceEngine(ConvergenceTask& task,
       active_count_(options.world()),
       shrunk_(coll::shrink_topology(topology_, {})),
       pending_correction_(task.param_count()) {
-  HITOPK_CHECK_GT(world_, 0);
-  HITOPK_CHECK_LE(global_batch_, task_.train_size());
+  HITOPK_VALIDATE(global_batch_ <= task_.train_size())
+      << "global batch" << global_batch_ << "exceeds the"
+      << task_.train_size() << "training samples";
   iters_per_epoch_ = static_cast<int>(task_.train_size() / global_batch_);
-  HITOPK_CHECK_GT(iters_per_epoch_, 0);
+  const int max_epochs = std::numeric_limits<int>::max() / iters_per_epoch_;
+  HITOPK_VALIDATE(options_.epochs <= max_epochs &&
+                  options_.warmup_epochs <= max_epochs)
+      << "epochs overflow the iteration counter";
   total_iters_ = options_.epochs * iters_per_epoch_;
   warmup_iters_ = options_.warmup_epochs * iters_per_epoch_;
 
   worker_grads_.reserve(static_cast<size_t>(world_));
   for (int w = 0; w < world_; ++w) worker_grads_.emplace_back(d_);
-  for (auto& g : worker_grads_) grad_spans_.push_back(g.span());
 
   if (local_sgd_) {
-    HITOPK_CHECK_GT(options_.local_sgd_period, 0);
     for (int w = 0; w < world_; ++w) {
       Tensor copy(d_);
       std::copy(task_.params().begin(), task_.params().end(),
@@ -130,9 +157,11 @@ void ConvergenceEngine::rebuild_active_caches() {
     (active_[static_cast<size_t>(w)] ? active_idx_ : dead).push_back(w);
   }
   active_count_ = static_cast<int>(active_idx_.size());
-  if (active_count_ > 0 && active_count_ < world_) {
-    shrunk_ = coll::shrink_topology(topology_, dead);
+  active_grads_.clear();
+  for (int w : active_idx_) {
+    active_grads_.push_back(worker_grads_[static_cast<size_t>(w)].span());
   }
+  if (active_count_ > 0) shrunk_ = coll::shrink_topology(topology_, dead);
 }
 
 void ConvergenceEngine::flush_residual_to_pending(std::span<const float> values,
@@ -206,20 +235,12 @@ void ConvergenceEngine::remap_ef_for_world_change(
     case ConvergenceAlgorithm::kMstopk: {
       // Shard residuals of the old world: GPU `local` of every node owns
       // chunk_range(d, gpus_per_node, local) — mirror hitopk_comm's layout.
-      const simnet::Topology old_topo =
-          old_active.size() == static_cast<size_t>(world_)
-              ? topology_
-              : [&] {
-                  std::vector<int> dead;
-                  for (int w = 0; w < world_; ++w) {
-                    if (std::find(old_active.begin(), old_active.end(), w) ==
-                        old_active.end()) {
-                      dead.push_back(w);
-                    }
-                  }
-                  return coll::shrink_topology(topology_, dead).topology;
-                }();
-      if (old_topo.uniform()) {  // shard keys exist only after uniform runs
+      // shrunk_ still describes the old world (the caches are rebuilt after
+      // this remap); an empty old world holds no residuals at all, since
+      // the rescale that emptied it flushed them.
+      const simnet::Topology& old_topo = shrunk_.topology;
+      if (!old_active.empty() &&
+          old_topo.uniform()) {  // shard keys exist only after uniform runs
         const int n = old_topo.gpus_per_node();
         for (int r = 0; r < old_topo.world_size(); ++r) {
           const std::string key = "shard:" + std::to_string(r);
@@ -304,15 +325,16 @@ void ConvergenceEngine::begin_epoch() {
 }
 
 void ConvergenceEngine::average_worker_params(simnet::Cluster& cluster) {
+  // With no active worker (end_epoch after the last one was preempted)
+  // there is nothing to average: the shared model stays as last averaged.
+  if (active_idx_.empty()) return;
   coll::RankData param_spans;
   for (int w : active_idx_) {
     param_spans.push_back(worker_params_[static_cast<size_t>(w)].span());
   }
-  const simnet::Topology& topo =
-      active_count_ == world_ ? topology_ : shrunk_.topology;
   if (active_count_ > 1) {
-    coll::ring_allreduce(cluster, coll::world_group(topo), param_spans, d_,
-                         coll::WireDtype::kFp32, 0.0);
+    coll::ring_allreduce(cluster, coll::world_group(shrunk_.topology),
+                         param_spans, d_, coll::WireDtype::kFp32, 0.0);
   }
   for (int w : active_idx_) {
     worker_params_[static_cast<size_t>(w)] *=
@@ -324,17 +346,8 @@ void ConvergenceEngine::average_worker_params(simnet::Cluster& cluster) {
 }
 
 void ConvergenceEngine::aggregate_dense(simnet::Cluster& cluster) {
-  if (active_count_ == world_) {
-    coll::ring_allreduce(cluster, coll::world_group(topology_), grad_spans_,
-                         d_, coll::WireDtype::kFp32, 0.0);
-    return;
-  }
-  coll::RankData spans;
-  for (int w : active_idx_) {
-    spans.push_back(worker_grads_[static_cast<size_t>(w)].span());
-  }
-  coll::ring_allreduce(cluster, coll::world_group(shrunk_.topology), spans, d_,
-                       coll::WireDtype::kFp32, 0.0);
+  coll::ring_allreduce(cluster, coll::world_group(shrunk_.topology),
+                       active_grads_, d_, coll::WireDtype::kFp32, 0.0);
 }
 
 void ConvergenceEngine::aggregate_sparse_workers(simnet::Cluster& cluster,
@@ -366,10 +379,7 @@ void ConvergenceEngine::aggregate_sparse_workers(simnet::Cluster& cluster,
       error_feedback_.apply_priming(worker_keys_[w], grad);
     }
     if (!random_k) {
-      sparse[i] = compress::exact_topk(
-          grad, k,
-          options_.topk_histogram ? compress::TopKSelect::kHistogram
-                                  : compress::TopKSelect::kNthElement);
+      sparse[i] = compress::exact_topk(grad, k);
     } else {
       compress::RandomK rk(worker_seeds[w]);
       sparse[i] = rk.compress(grad, k);
@@ -378,44 +388,25 @@ void ConvergenceEngine::aggregate_sparse_workers(simnet::Cluster& cluster,
       error_feedback_.absorb_primed(worker_keys_[w], sparse[i]);
     }
   });
-  if (active_count_ == world_) {
-    coll::naive_sparse_allgather(cluster, sparse, grad_spans_, d_, 4, 0.0,
-                                 0.0);
-    return;
-  }
-  coll::RankData spans;
-  for (int w : active_idx_) {
-    spans.push_back(worker_grads_[static_cast<size_t>(w)].span());
-  }
-  coll::naive_sparse_allgather(cluster, sparse, spans, d_, 4, 0.0, 0.0);
+  coll::naive_sparse_allgather(cluster, sparse, active_grads_, d_, 4, 0.0,
+                               0.0);
 }
 
 void ConvergenceEngine::aggregate_gtopk(simnet::Cluster& cluster) {
   coll::GtopkOptions gtopk;
   gtopk.density = options_.density;
-  gtopk.topk_select = options_.topk_histogram
-                          ? compress::TopKSelect::kHistogram
-                          : compress::TopKSelect::kNthElement;
   gtopk.error_feedback =
       options_.use_error_feedback ? &error_feedback_ : nullptr;
   gtopk.ef_key_prefix = "g";
-  if (active_count_ == world_) {
-    coll::gtopk_comm(cluster, grad_spans_, d_, gtopk, 0.0);
-    return;
-  }
-  coll::RankData spans;
-  for (int w : active_idx_) {
-    spans.push_back(worker_grads_[static_cast<size_t>(w)].span());
-  }
-  coll::gtopk_comm(cluster, spans, d_, gtopk, 0.0);
+  coll::gtopk_comm(cluster, active_grads_, d_, gtopk, 0.0);
 }
 
 void ConvergenceEngine::aggregate_mstopk(simnet::Cluster& cluster) {
-  const simnet::Topology& topo =
-      active_count_ == world_ ? topology_ : shrunk_.topology;
-  if (!topo.uniform()) {
-    // HiTopKComm's owned-shard layout needs a uniform world; while a rescale
-    // leaves nodes uneven, MSTopK-SGD degrades to flat TopK-SGD (its shard
+  if (!shrunk_.topology.uniform()) {
+    // HiTopKComm itself runs uneven fleets, but the shard-residual remap
+    // (remap_ef_for_world_change) assumes the uniform owned-shard layout
+    // chunk_range(d, gpus_per_node, local).  So while a rescale leaves
+    // nodes uneven, MSTopK-SGD degrades to flat TopK-SGD (its shard
     // residuals were flushed at the rescale, so no mass is stranded).
     aggregate_sparse_workers(cluster, /*random_k=*/false);
     return;
@@ -428,15 +419,7 @@ void ConvergenceEngine::aggregate_mstopk(simnet::Cluster& cluster) {
   hi.error_feedback =
       options_.use_error_feedback ? &error_feedback_ : nullptr;
   hi.ef_key_prefix = "shard";
-  if (active_count_ == world_) {
-    coll::hitopk_comm(cluster, grad_spans_, d_, hi, 0.0);
-    return;
-  }
-  coll::RankData spans;
-  for (int w : active_idx_) {
-    spans.push_back(worker_grads_[static_cast<size_t>(w)].span());
-  }
-  coll::hitopk_comm(cluster, spans, d_, hi, 0.0);
+  coll::hitopk_comm(cluster, active_grads_, d_, hi, 0.0);
 }
 
 void ConvergenceEngine::step() {
@@ -481,8 +464,7 @@ void ConvergenceEngine::step() {
 
   if (local_sgd_) {
     if ((iter_ + 1) % options_.local_sgd_period == 0) {
-      simnet::Cluster cluster(active_count_ == world_ ? topology_
-                                                      : shrunk_.topology);
+      simnet::Cluster cluster(shrunk_.topology);
       average_worker_params(cluster);
       const double t = cluster.quiescent_time();
       comm_seconds_ += t;
@@ -504,8 +486,7 @@ void ConvergenceEngine::step() {
   // no collective at all (All-Reduce of one contribution is the identity):
   // it trains on alone with zero communication.
   if (active_count_ > 1) {
-    simnet::Cluster cluster(active_count_ == world_ ? topology_
-                                                    : shrunk_.topology);
+    simnet::Cluster cluster(shrunk_.topology);
     switch (options_.algorithm) {
       case ConvergenceAlgorithm::kLocalSgd:
         break;  // handled above (no per-iteration aggregation)
@@ -558,8 +539,7 @@ EpochPoint ConvergenceEngine::end_epoch() {
   HITOPK_CHECK(epoch_open_) << "end_epoch without an open epoch";
   HITOPK_CHECK_EQ(step_in_epoch_, iters_per_epoch_);
   if (local_sgd_) {
-    simnet::Cluster cluster(active_count_ == world_ ? topology_
-                                                    : shrunk_.topology);
+    simnet::Cluster cluster(shrunk_.topology);
     average_worker_params(cluster);  // evaluate the averaged model
     const double t = cluster.quiescent_time();
     comm_seconds_ += t;

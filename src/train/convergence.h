@@ -44,6 +44,10 @@ enum class ConvergenceAlgorithm {
 std::string convergence_algorithm_name(ConvergenceAlgorithm algorithm);
 ConvergenceAlgorithm convergence_algorithm_from_name(const std::string& name);
 
+// Every field is validated when a ConvergenceEngine is built (ConfigError
+// for non-positive nodes, gpus_per_node, epochs, local_batch,
+// mstopk_samplings or local_sgd_period, negative warmup_epochs, a density
+// outside (0, 1], or a non-finite learning_rate).
 struct ConvergenceOptions {
   int nodes = 4;
   int gpus_per_node = 4;
@@ -56,14 +60,8 @@ struct ConvergenceOptions {
   int warmup_epochs = 3;
   bool use_error_feedback = true;
   int mstopk_samplings = 30;
-  // Selection backends, each a fast default with a bit-identical or
-  // semantically-identical validation twin (docs/INTERNALS.md):
-  //   topk_histogram — kTopk/kGtopk exact selection via the shared magnitude
-  //       histogram (TopKSelect::kHistogram); false = packed-key nth_element
-  //       reference.  The two are bit-identical, so this only trades speed.
-  //   mstopk_histogram — MSTopK bracket search (MsTopKMode); false = the
-  //       paper-literal multi-pass binary search.
-  bool topk_histogram = true;
+  // MSTopK bracket search (MsTopKMode::kHistogram); false = the
+  // paper-literal multi-pass binary search of Alg. 1.
   bool mstopk_histogram = true;
   // Optimizer: plain momentum SGD, or LARS with per-layer trust ratios
   // (Eq. 11) applied over the task's layer segments — the large-batch
@@ -119,6 +117,8 @@ struct ConvergenceResult {
 // and mid-epoch position.
 class ConvergenceEngine {
  public:
+  // Throws ConfigError for invalid options (see ConvergenceOptions) or a
+  // global batch larger than the task's training set.
   ConvergenceEngine(ConvergenceTask& task, const ConvergenceOptions& options);
 
   // ---- loop structure
@@ -197,7 +197,6 @@ class ConvergenceEngine {
   bool local_sgd_ = false;
 
   std::vector<Tensor> worker_grads_;
-  coll::RankData grad_spans_;  // full-world spans, stable across rescales
   compress::ErrorFeedback error_feedback_;
   pto::SgdOptimizer sgd_;
   pto::LarsOptimizer lars_;
@@ -208,13 +207,17 @@ class ConvergenceEngine {
   std::vector<size_t> order_;
   std::vector<double> worker_loss_;
 
-  // Elastic state.  active_idx_ lists active original worker ids ascending;
-  // shrunk_ is the dense survivor world (valid while active_count_ < world_
-  // and > 0).  pending_correction_ carries error-feedback mass flushed at a
-  // rescale until the next update delivers it.
+  // Elastic state.  active_idx_ lists active original worker ids ascending
+  // and active_grads_ their gradient spans in that order; shrunk_ is the
+  // dense world of the active workers (the full topology while nobody is
+  // preempted; kept from the last non-empty world while none is active).
+  // All three are rebuilt at every rescale.  pending_correction_ carries
+  // error-feedback mass flushed at a rescale until the next update
+  // delivers it.
   std::vector<uint8_t> active_;
   int active_count_ = 0;
   std::vector<int> active_idx_;
+  coll::RankData active_grads_;
   coll::SurvivorWorld shrunk_;
   Tensor pending_correction_;
   bool has_pending_correction_ = false;

@@ -328,6 +328,50 @@ TEST(EngineElastic, ZeroActiveWorkersRefusesToStep) {
   EXPECT_EQ(engine.active_workers(), 1);
 }
 
+TEST(EngineElastic, EmptyWorldRegrowsForEveryAlgorithm) {
+  // Losing the last worker flushes every residual; bringing one back into
+  // the empty world must neither throw nor lose the run.
+  for (const auto algorithm :
+       {ConvergenceAlgorithm::kDense, ConvergenceAlgorithm::kTopk,
+        ConvergenceAlgorithm::kMstopk, ConvergenceAlgorithm::kGtopk,
+        ConvergenceAlgorithm::kRandomk, ConvergenceAlgorithm::kLocalSgd}) {
+    SCOPED_TRACE(convergence_algorithm_name(algorithm));
+    auto task = make_vision_task(11);
+    ConvergenceEngine engine(*task, quick(algorithm));
+    engine.begin_epoch();
+    engine.step();
+    for (int w = 0; w < engine.world(); ++w) engine.preempt_worker(w);
+    ASSERT_NO_THROW(engine.restore_worker(1));
+    ASSERT_NO_THROW(engine.restore_worker(3));
+    EXPECT_EQ(engine.active_workers(), 2);
+    engine.step();
+    for (int w = 0; w < engine.world(); ++w) engine.restore_worker(w);
+    drive_to_end(engine);
+    EXPECT_GT(engine.result().best_quality, 0.0);
+  }
+}
+
+TEST(EngineElastic, LocalSgdEpochEndsWithNoActiveWorker) {
+  // The last worker is preempted after the epoch's final step: end_epoch
+  // has no local model to average, so the shared model stays as it was
+  // last averaged and every worker copy restarts from it.
+  auto task = make_vision_task(11);
+  ConvergenceOptions options = quick(ConvergenceAlgorithm::kLocalSgd);
+  options.local_sgd_period = 1000;  // no averaging inside the epoch
+  ConvergenceEngine engine(*task, options);
+  const std::vector<float> shared(task->params().begin(),
+                                  task->params().end());
+  engine.begin_epoch();
+  while (engine.step_in_epoch() < engine.iters_per_epoch()) engine.step();
+  for (int w = 0; w < engine.world(); ++w) engine.preempt_worker(w);
+  engine.end_epoch();
+  EXPECT_TRUE(std::equal(shared.begin(), shared.end(),
+                         task->params().begin()));
+  engine.restore_worker(2);
+  drive_to_end(engine);
+  EXPECT_GT(engine.result().best_quality, 0.0);
+}
+
 // --------------------------------------------- fault-tolerant driver
 
 FtOptions ft_base(ConvergenceAlgorithm algorithm) {

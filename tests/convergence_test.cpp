@@ -3,6 +3,8 @@
 // curves live in bench_fig10_convergence.
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "train/convergence.h"
 #include "train/synthetic.h"
 
@@ -211,6 +213,72 @@ TEST(Convergence, CurveHasOneEntryPerEpoch) {
       run_convergence(*task, quick(ConvergenceAlgorithm::kDense, 5));
   ASSERT_EQ(result.curve.size(), 5u);
   for (int e = 0; e < 5; ++e) EXPECT_EQ(result.curve[e].epoch, e + 1);
+}
+
+// ------------------------------------------------- option validation
+// Each bad field is rejected with ConfigError when the engine is built,
+// before any member is sized from it: unchecked, local_batch = 0 divides
+// by zero and a negative density reaches an out-of-range size_t cast.
+template <typename Mutate>
+void expect_rejected(ConvergenceAlgorithm algorithm, Mutate mutate) {
+  auto task = make_vision_task(31);
+  ConvergenceOptions options = quick(algorithm);
+  mutate(options);
+  EXPECT_THROW(ConvergenceEngine(*task, options), ConfigError);
+}
+
+TEST(ConvergenceOptionsValidation, RejectsZeroLocalBatch) {
+  expect_rejected(ConvergenceAlgorithm::kDense,
+                  [](ConvergenceOptions& o) { o.local_batch = 0; });
+  expect_rejected(ConvergenceAlgorithm::kDense,
+                  [](ConvergenceOptions& o) { o.local_batch = -4; });
+}
+
+TEST(ConvergenceOptionsValidation, RejectsDensityOutsideUnitInterval) {
+  for (const double density : {-0.5, 0.0, 1.5, std::nan("")}) {
+    expect_rejected(ConvergenceAlgorithm::kTopk,
+                    [&](ConvergenceOptions& o) { o.density = density; });
+  }
+}
+
+TEST(ConvergenceOptionsValidation, RejectsNonPositiveMstopkSamplings) {
+  expect_rejected(ConvergenceAlgorithm::kMstopk,
+                  [](ConvergenceOptions& o) { o.mstopk_samplings = 0; });
+}
+
+TEST(ConvergenceOptionsValidation, RejectsNonPositiveWorldShape) {
+  expect_rejected(ConvergenceAlgorithm::kDense,
+                  [](ConvergenceOptions& o) { o.nodes = 0; });
+  expect_rejected(ConvergenceAlgorithm::kDense,
+                  [](ConvergenceOptions& o) { o.gpus_per_node = -1; });
+  expect_rejected(ConvergenceAlgorithm::kDense, [](ConvergenceOptions& o) {
+    o.nodes = 1 << 16;
+    o.gpus_per_node = 1 << 16;  // nodes * gpus_per_node overflows int
+  });
+}
+
+TEST(ConvergenceOptionsValidation, RejectsNonPositiveEpochs) {
+  expect_rejected(ConvergenceAlgorithm::kDense,
+                  [](ConvergenceOptions& o) { o.epochs = 0; });
+  expect_rejected(ConvergenceAlgorithm::kDense,
+                  [](ConvergenceOptions& o) { o.warmup_epochs = -1; });
+}
+
+TEST(ConvergenceOptionsValidation, RejectsNonPositiveLocalSgdPeriod) {
+  expect_rejected(ConvergenceAlgorithm::kLocalSgd,
+                  [](ConvergenceOptions& o) { o.local_sgd_period = 0; });
+}
+
+TEST(ConvergenceOptionsValidation, RejectsNonFiniteLearningRate) {
+  for (const double lr : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+    expect_rejected(ConvergenceAlgorithm::kDense,
+                    [&](ConvergenceOptions& o) { o.learning_rate = lr; });
+  }
+}
+
+TEST(ConvergenceOptionsValidation, RejectsGlobalBatchLargerThanTrainingSet) {
+  expect_rejected(ConvergenceAlgorithm::kDense,
+                  [](ConvergenceOptions& o) { o.local_batch = 1 << 30; });
 }
 
 TEST(Convergence, AlgorithmNamesRoundTrip) {

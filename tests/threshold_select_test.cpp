@@ -1,22 +1,21 @@
-// Property tests pinning the histogram threshold-selection fast path
-// (compress/threshold_select.h) bit-identical — indices AND values — to the
-// packed-key nth_element reference across adversarial distributions: ties,
-// denormals, all-equal, infinities, signed zeros, and skewed magnitude
-// spreads.  Bit-identity (not closeness) is the contract every consumer
-// (exact_topk, DGC's re-selection, the TopK-SGD convergence path) relies on
-// when flipping between the two backends.
+// Oracle tests for exact top-k selection (compress/threshold_select.h):
+// select_topk / topk_threshold must return exactly what a full std::sort
+// on the spec key gives — magnitude bits descending, then index ascending
+// — indices AND values, across adversarial distributions: ties, denormals,
+// all-equal, infinities, signed zeros, and skewed magnitude spreads.  The
+// input sizes straddle kHistogramMinSize, so both the histogram path and
+// the small-input nth_element path answer to the same oracle, which shares
+// no code with either.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <string>
 #include <vector>
 
-#include "compress/compressor.h"
-#include "compress/dgc_topk.h"
-#include "compress/exact_topk.h"
 #include "compress/threshold_select.h"
 #include "core/parallel.h"
 #include "core/rng.h"
@@ -31,7 +30,7 @@ struct NamedInput {
 };
 
 // Sizes straddle kHistogramMinSize so both the histogram path and the
-// small-input nth_element cutoff are exercised.
+// small-input nth_element path see every distribution.
 std::vector<NamedInput> adversarial_inputs() {
   std::vector<NamedInput> inputs;
   {
@@ -115,12 +114,60 @@ std::vector<NamedInput> adversarial_inputs() {
     x.fill_normal(rng, 0.0f, 2.0f);
     inputs.push_back({"small", std::move(x)});
   }
+  // Every distribution again just below kHistogramMinSize (a prefix of the
+  // input above), so the small-input path sees the same adversaries.
+  const size_t full = inputs.size();
+  for (size_t i = 0; i < full; ++i) {
+    if (inputs[i].x.size() < kHistogramMinSize) continue;
+    const size_t n = kHistogramMinSize - 1;
+    Tensor prefix(n);
+    std::copy(inputs[i].x.span().begin(), inputs[i].x.span().begin() + n,
+              prefix.span().begin());
+    inputs.push_back({inputs[i].name + "/below_cutoff", std::move(prefix)});
+  }
   return inputs;
+}
+
+// The oracle: every index sorted by the spec key — |x| as raw magnitude
+// bits (total even on NaN payloads; IEEE-754 non-negative floats order like
+// their bit patterns), larger first, ties to the lower index — and the
+// first min(k, d) kept, returned in ascending index order with their
+// values.
+SparseTensor sort_oracle(std::span<const float> x, size_t k) {
+  auto mag = [&](uint32_t i) {
+    return std::bit_cast<uint32_t>(x[i]) & 0x7FFFFFFFu;
+  };
+  std::vector<uint32_t> order(x.size());
+  for (size_t i = 0; i < order.size(); ++i) {
+    order[i] = static_cast<uint32_t>(i);
+  }
+  std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+    return mag(a) != mag(b) ? mag(a) > mag(b) : a < b;
+  });
+  order.resize(std::min(k, x.size()));
+  std::sort(order.begin(), order.end());
+  SparseTensor out;
+  out.dense_size = x.size();
+  out.indices = order;
+  for (const uint32_t i : order) out.values.push_back(x[i]);
+  return out;
+}
+
+// The k-th largest magnitude under the same key (0 for k == 0 or empty x).
+float kth_magnitude_oracle(std::span<const float> x, size_t k) {
+  if (k == 0 || x.empty()) return 0.0f;
+  std::vector<uint32_t> mags;
+  for (const float v : x) {
+    mags.push_back(std::bit_cast<uint32_t>(v) & 0x7FFFFFFFu);
+  }
+  std::sort(mags.begin(), mags.end(), std::greater<uint32_t>());
+  return std::bit_cast<float>(mags[std::min(k, x.size()) - 1]);
 }
 
 void expect_bit_identical(const SparseTensor& a, const SparseTensor& b,
                           const std::string& label) {
   SCOPED_TRACE(label);
+  EXPECT_EQ(a.dense_size, b.dense_size);
   ASSERT_EQ(a.indices, b.indices);
   ASSERT_EQ(a.values.size(), b.values.size());
   for (size_t i = 0; i < a.values.size(); ++i) {
@@ -130,32 +177,28 @@ void expect_bit_identical(const SparseTensor& a, const SparseTensor& b,
   }
 }
 
+std::vector<size_t> ks_for(size_t d) {
+  return {1, 2, d / 1000 + 1, d / 100 + 1, d / 10, d - 1, d, d + 5};
+}
+
 TEST(ThresholdSelect, SelectionBitIdenticalToNthElementReference) {
   for (auto& input : adversarial_inputs()) {
     const size_t d = input.x.size();
-    for (size_t k : {size_t{1}, size_t{2}, d / 1000 + 1, d / 100 + 1, d / 10,
-                     d - 1, d, d + 5}) {
-      if (k == 0) continue;
-      const SparseTensor fast =
-          select_topk(input.x.span(), k, TopKSelect::kHistogram);
-      const SparseTensor ref =
-          select_topk(input.x.span(), k, TopKSelect::kNthElement);
-      expect_bit_identical(fast, ref,
+    for (const size_t k : ks_for(d)) {
+      const SparseTensor got = select_topk(input.x.span(), k);
+      expect_bit_identical(got, sort_oracle(input.x.span(), k),
                            input.name + " k=" + std::to_string(k));
-      EXPECT_EQ(fast.nnz(), std::min(k, d));
+      EXPECT_EQ(got.nnz(), std::min(k, d));
     }
   }
 }
 
 TEST(ThresholdSelect, ThresholdBitIdenticalToNthElementReference) {
   for (auto& input : adversarial_inputs()) {
-    const size_t d = input.x.size();
-    for (size_t k : {size_t{1}, d / 100 + 1, d / 10, d}) {
-      const float fast =
-          topk_threshold(input.x.span(), k, TopKSelect::kHistogram);
-      const float ref =
-          topk_threshold(input.x.span(), k, TopKSelect::kNthElement);
-      EXPECT_EQ(std::bit_cast<uint32_t>(fast), std::bit_cast<uint32_t>(ref))
+    for (const size_t k : ks_for(input.x.size())) {
+      const float got = topk_threshold(input.x.span(), k);
+      const float want = kth_magnitude_oracle(input.x.span(), k);
+      EXPECT_EQ(std::bit_cast<uint32_t>(got), std::bit_cast<uint32_t>(want))
           << input.name << " k=" << k;
     }
   }
@@ -164,10 +207,8 @@ TEST(ThresholdSelect, ThresholdBitIdenticalToNthElementReference) {
 TEST(ThresholdSelect, ThresholdMatchesKthSelectedMagnitude) {
   for (auto& input : adversarial_inputs()) {
     const size_t k = input.x.size() / 50 + 1;
-    const SparseTensor sel =
-        select_topk(input.x.span(), k, TopKSelect::kHistogram);
-    const float thres = topk_threshold(input.x.span(), k,
-                                       TopKSelect::kHistogram);
+    const SparseTensor sel = select_topk(input.x.span(), k);
+    const float thres = topk_threshold(input.x.span(), k);
     // The threshold is the smallest selected magnitude.
     float smallest = std::numeric_limits<float>::infinity();
     for (float v : sel.values) smallest = std::min(smallest, std::fabs(v));
@@ -187,47 +228,22 @@ TEST(ThresholdSelect, IdenticalAcrossThreadCounts) {
   const size_t k = x.size() / 500;
   const int previous = parallel_threads();
   set_parallel_threads(1);
-  const SparseTensor serial = select_topk(x.span(), k, TopKSelect::kHistogram);
+  const SparseTensor serial = select_topk(x.span(), k);
   set_parallel_threads(4);
-  const SparseTensor parallel =
-      select_topk(x.span(), k, TopKSelect::kHistogram);
+  const SparseTensor parallel = select_topk(x.span(), k);
   set_parallel_threads(previous);
   expect_bit_identical(serial, parallel, "thread sweep");
 }
 
 TEST(ThresholdSelect, EmptyAndZeroK) {
   Tensor empty;
-  EXPECT_EQ(select_topk(empty.span(), 5, TopKSelect::kHistogram).nnz(), 0u);
-  EXPECT_EQ(topk_threshold(empty.span(), 5, TopKSelect::kHistogram), 0.0f);
+  EXPECT_EQ(select_topk(empty.span(), 5).nnz(), 0u);
+  EXPECT_EQ(topk_threshold(empty.span(), 5), 0.0f);
   Rng rng(403);
   Tensor x(4096);
   x.fill_normal(rng, 0.0f, 1.0f);
-  EXPECT_EQ(select_topk(x.span(), 0, TopKSelect::kHistogram).nnz(), 0u);
-  EXPECT_EQ(topk_threshold(x.span(), 0, TopKSelect::kHistogram), 0.0f);
-}
-
-TEST(ThresholdSelect, RegistryExposesLegacyTwin) {
-  auto fast = make_compressor("exact_topk", 1);
-  auto legacy = make_compressor("exact_topk_legacy", 1);
-  EXPECT_EQ(fast->name(), "exact_topk");
-  EXPECT_EQ(legacy->name(), "exact_topk_legacy");
-  Rng rng(405);
-  Tensor x(10000);
-  x.fill_normal(rng, 0.0f, 1.0f);
-  expect_bit_identical(fast->compress(x.span(), 100),
-                       legacy->compress(x.span(), 100), "registry twins");
-}
-
-TEST(ThresholdSelect, DgcBackendsAgree) {
-  // DGC is randomized but seeds its sampling; with equal seeds the two
-  // selection backends must walk the identical path.
-  Rng rng(407);
-  Tensor x(50000);
-  x.fill_normal(rng, 0.0f, 1.0f);
-  DgcTopK fast(0.01, 77, TopKSelect::kHistogram);
-  DgcTopK legacy(0.01, 77, TopKSelect::kNthElement);
-  expect_bit_identical(fast.compress(x.span(), 500),
-                       legacy.compress(x.span(), 500), "dgc twins");
+  EXPECT_EQ(select_topk(x.span(), 0).nnz(), 0u);
+  EXPECT_EQ(topk_threshold(x.span(), 0), 0.0f);
 }
 
 }  // namespace
