@@ -2,8 +2,9 @@
 //
 // Runs the register-tiled sgemm() against the naive-loop reference at the
 // representative shapes of the autodiff engine — the MLP/sequence layer
-// products (batch x hidden) at the convergence-bench batch sizes, their
-// backward transposed variants, and the im2col-lowered CNN convolutions —
+// products (batch x hidden) at the convergence-bench batch sizes and at
+// batch 1 (sgemm's one-row and rank-1 paths), their backward transposed
+// variants, and the im2col-lowered CNN convolutions —
 // and *fails* (non-zero exit) if the tiled kernel is slower than the naive
 // loop anywhere.  CI runs this as a regression gate, so a refactor that
 // breaks the microkernel's vectorization (e.g. by giving its inner loops
@@ -66,6 +67,13 @@ int main() {
       {"cnn bwd dW", Trans::kNo, Trans::kYes, 16, 144, 144},
       {"cnn bwd dcol", Trans::kYes, Trans::kNo, 144, 144, 16},
       {"eval fwd (b512)", Trans::kNo, Trans::kNo, 512, 96, 64},
+      // Local batch 1 (perfbench mstopk_mlp, hidden {1024, 512}): forward
+      // and dA are one-row products, every dW is a k = 1 rank-1 update.
+      {"mlp b1 fwd h1", Trans::kNo, Trans::kNo, 1, 1024, 64},
+      {"mlp b1 fwd h2", Trans::kNo, Trans::kNo, 1, 512, 1024},
+      {"mlp b1 bwd dA h2", Trans::kNo, Trans::kYes, 1, 1024, 512},
+      {"mlp b1 bwd dW h2", Trans::kYes, Trans::kNo, 1024, 512, 1},
+      {"mlp b1 bwd dW h1", Trans::kYes, Trans::kNo, 64, 1024, 1},
   };
 
   std::printf("=== bench_micro_gemm: tiled sgemm vs naive loops ===\n\n");

@@ -45,7 +45,7 @@ struct GtopkShape {
 double schedule_gtopk(simnet::Cluster& cluster, const GtopkShape& shape,
                       size_t payload, size_t k,
                       std::vector<compress::SparseTensor>& state, double start,
-                      size_t& rounds, ScheduleOutcome* outcome) {
+                      int job, size_t& rounds, ScheduleOutcome* outcome) {
   const auto [p, q, rem] = shape;
   bool functional = !state.empty();
 
@@ -76,14 +76,14 @@ double schedule_gtopk(simnet::Cluster& cluster, const GtopkShape& shape,
   }
   double done;
   if (outcome != nullptr) {
-    *outcome = sched.run_timing_abortable(cluster, start);
+    *outcome = sched.run_timing_abortable(cluster, start, job);
     done = outcome->finish;
     // Aborted exchange: no merge ever completed consistently across the
     // world, so the functional rounds are skipped and callers leave the
     // input gradients untouched.
     if (outcome->aborted()) functional = false;
   } else {
-    done = sched.run_timing(cluster, start).finish;
+    done = sched.run_timing(cluster, start, job).finish;
   }
 
   if (functional) {
@@ -165,8 +165,8 @@ GtopkResult gtopk_comm(simnet::Cluster& cluster, const RankData& data,
   }
 
   const double done =
-      schedule_gtopk(cluster, shape, payload, k, state, start, out.rounds,
-                     options.outcome);
+      schedule_gtopk(cluster, shape, payload, k, state, start, options.job,
+                     out.rounds, options.outcome);
   out.total = done - start;
 
   const bool aborted = options.outcome != nullptr && options.outcome->aborted();

@@ -38,6 +38,10 @@ struct GtopkOptions {
   compress::ErrorFeedback* error_feedback = nullptr;
   std::string ef_key_prefix = "gtopk";
   uint64_t seed = 42;
+  // Tenant the timed replay's flows are submitted under (see
+  // Schedule::run_timing): on a shared cluster they share ports with other
+  // jobs' reservations and are counted in this job's byte totals.
+  int job = simnet::kDefaultJob;
   // Abortable mode: when set, the timed replay runs through
   // Schedule::run_timing_abortable against the cluster's FaultPlan and the
   // outcome lands here.  On an abort the functional merges and the final

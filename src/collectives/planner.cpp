@@ -72,11 +72,13 @@ bool is_world_order(const simnet::Topology& topo, const Group& group) {
 }
 
 // The gTop-k candidate's options: the requested density, values on the
-// planner's wire.
-GtopkOptions gtopk_options(double density, WireDtype wire) {
+// planner's wire, flows under the planned-for job.
+GtopkOptions gtopk_options(double density, WireDtype wire,
+                           int job = simnet::kDefaultJob) {
   GtopkOptions gopts;
   gopts.density = density;
   gopts.value_wire_bytes = wire_elem_bytes(wire);
+  gopts.job = job;
   return gopts;
 }
 
@@ -273,7 +275,7 @@ double Planner::score(const simnet::Cluster& base, const Candidate& cand,
   replica.set_fault_plan(nullptr);
   if (cand.algorithm == PlanAlgorithm::kGtopk) {
     return gtopk_comm(replica, {}, elems,
-                      gtopk_options(density, options_.wire), start)
+                      gtopk_options(density, options_.wire, job), start)
         .total;
   }
   Schedule sched;

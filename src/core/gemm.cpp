@@ -100,6 +100,105 @@ void direct_b_tail(size_t kb, size_t mr, const float* ap, const float* b,
   }
 }
 
+// ---------------------------------------------------------- skinny paths
+//
+// At m == 1 or k == 1 the tiles above waste most of their work: three of
+// the four accumulator rows multiply zero padding, and op(B) == B^T packs
+// the whole (often weight-sized) B per call to feed a single output row.
+// The two paths below compute the same float expression per element as the
+// tiles — per K block a sum from 0.0f in increasing k, stored into C or
+// added to it — so sgemm's results do not depend on which path ran.
+
+// Output columns per block of the skinny paths: one accumulator row of
+// eight SSE vectors, with constant trip counts so the j loops vectorize.
+constexpr size_t kRowNb = 32;
+
+// One K block of a one-row product with op(B) == B: c(j) (+)= sum over kk
+// of a(kk) * b(kk, j), B rows read in place (ldb floats apart).  A ragged
+// final block runs the same loops with a runtime width.
+void row_times_b(size_t kb, const float* a, size_t a_stride, const float* b,
+                 size_t ldb, float* c, size_t n, bool add) {
+  for (size_t j0 = 0; j0 < n; j0 += kRowNb) {
+    const size_t nb = std::min(kRowNb, n - j0);
+    float acc[kRowNb] = {};
+    if (nb == kRowNb) {
+      for (size_t kk = 0; kk < kb; ++kk) {
+        const float av = a[kk * a_stride];
+        const float* __restrict__ bv = b + kk * ldb + j0;
+        // Fully unrolled, the 32 accumulators stay in eight SSE registers;
+        // as a loop, GCC -O2 keeps them on the stack and reloads them per
+        // kk, which halves the kernel's speed.
+#pragma GCC unroll 32
+        for (size_t j = 0; j < kRowNb; ++j) acc[j] += av * bv[j];
+      }
+    } else {
+      for (size_t kk = 0; kk < kb; ++kk) {
+        const float av = a[kk * a_stride];
+        const float* bv = b + kk * ldb + j0;
+        for (size_t j = 0; j < nb; ++j) acc[j] += av * bv[j];
+      }
+    }
+    float* crow = c + j0;
+    if (add) {
+      for (size_t j = 0; j < nb; ++j) crow[j] += acc[j];
+    } else {
+      std::memcpy(crow, acc, nb * sizeof(float));
+    }
+  }
+}
+
+// One K block of a one-row product with op(B) == B^T: c(j) (+)= the dot of
+// a with stored row j of B, taken in place (no panel pack), four rows in
+// flight so four independent sums hide the add latency.
+void row_times_bt(size_t kb, const float* a, size_t a_stride, const float* b,
+                  size_t ldb, float* c, size_t n, bool add) {
+  auto put = [&](size_t j, float acc) { c[j] = add ? c[j] + acc : acc; };
+  size_t j = 0;
+  for (; j + 4 <= n; j += 4) {
+    const float* b0 = b + j * ldb;
+    const float* b1 = b0 + ldb;
+    const float* b2 = b1 + ldb;
+    const float* b3 = b2 + ldb;
+    float s0 = 0.0f, s1 = 0.0f, s2 = 0.0f, s3 = 0.0f;
+    for (size_t kk = 0; kk < kb; ++kk) {
+      const float av = a[kk * a_stride];
+      s0 += av * b0[kk];
+      s1 += av * b1[kk];
+      s2 += av * b2[kk];
+      s3 += av * b3[kk];
+    }
+    put(j, s0);
+    put(j + 1, s1);
+    put(j + 2, s2);
+    put(j + 3, s3);
+  }
+  for (; j < n; ++j) {
+    const float* bj = b + j * ldb;
+    float acc = 0.0f;
+    for (size_t kk = 0; kk < kb; ++kk) acc += a[kk * a_stride] * bj[kk];
+    put(j, acc);
+  }
+}
+
+// k == 1: one row of the rank-1 update, c(j) (+)= 0.0f + ai * b(j).  The
+// 0.0f + is the tiles' one-step sum from 0.0f: it turns a -0.0 product into
+// +0.0 before it meets C, exactly as there.
+void rank1_row(float ai, const float* __restrict__ b, float* __restrict__ c,
+               size_t n, bool add) {
+  const size_t n_full = n / kRowNb * kRowNb;
+  if (add) {
+    for (size_t j0 = 0; j0 < n_full; j0 += kRowNb) {
+      for (size_t j = 0; j < kRowNb; ++j) c[j0 + j] += 0.0f + ai * b[j0 + j];
+    }
+    for (size_t j = n_full; j < n; ++j) c[j] += 0.0f + ai * b[j];
+  } else {
+    for (size_t j0 = 0; j0 < n_full; j0 += kRowNb) {
+      for (size_t j = 0; j < kRowNb; ++j) c[j0 + j] = 0.0f + ai * b[j0 + j];
+    }
+    for (size_t j = n_full; j < n; ++j) c[j] = 0.0f + ai * b[j];
+  }
+}
+
 }  // namespace
 
 void sgemm(Trans trans_a, Trans trans_b, size_t m, size_t n, size_t k,
@@ -110,6 +209,39 @@ void sgemm(Trans trans_a, Trans trans_b, size_t m, size_t n, size_t k,
     if (!accumulate) {
       for (size_t i = 0; i < m; ++i) {
         std::memset(c + i * ldc, 0, n * sizeof(float));
+      }
+    }
+    return;
+  }
+  if (k == 1) {
+    // Rank-1 update.  op(A) is one column, a_stride floats apart as stored;
+    // op(B) is one row, contiguous as stored or gathered once from B's
+    // column when B is stored transposed.
+    const size_t a_stride = trans_a == Trans::kNo ? lda : 1;
+    Scratch<float> b_row(trans_b == Trans::kNo ? 0 : n);
+    const float* brow = b;
+    if (trans_b == Trans::kYes) {
+      for (size_t j = 0; j < n; ++j) b_row[j] = b[j * ldb];
+      brow = b_row.data();
+    }
+    for (size_t i = 0; i < m; ++i) {
+      rank1_row(a[i * a_stride], brow, c + i * ldc, n, accumulate);
+    }
+    return;
+  }
+  if (m == 1) {
+    // One-row product, K blocked as in the tiles.  op(A) is one row,
+    // a_stride floats apart as stored.
+    const size_t a_stride = trans_a == Trans::kNo ? 1 : lda;
+    for (size_t k0 = 0; k0 < k; k0 += kKc) {
+      const size_t kb = std::min(kKc, k - k0);
+      const bool add = accumulate || k0 > 0;
+      if (trans_b == Trans::kNo) {
+        row_times_b(kb, a + k0 * a_stride, a_stride, b + k0 * ldb, ldb, c, n,
+                    add);
+      } else {
+        row_times_bt(kb, a + k0 * a_stride, a_stride, b + k0, ldb, c, n,
+                     add);
       }
     }
     return;

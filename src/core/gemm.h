@@ -7,14 +7,21 @@
 // microkernel whose inner loops have compile-time-constant trip counts
 // (kMr x kNr register tile), which is what the GCC12 -O2 "very cheap"
 // vectorizer cost model needs to engage — the same constraint the MSTopK
-// histogram kernels are written around.
+// histogram kernels are written around.  Transposition is absorbed during
+// packing, so all four variants run the identical microkernel.
 //
-// Transposition is absorbed during packing, so all four variants run the
-// identical microkernel.  For K <= kKc (every shape the synthetic tasks
-// produce) each output element accumulates its K products in strictly
-// increasing k order in float, i.e. bitwise-identically to the textbook
-// `for k: c += a[i][k] * b[k][j]` loop; larger K is split into kKc-sized
-// blocks whose partial sums are added in order.
+// Batch-1 training makes every product skinny, and the shape alone then
+// picks one of two skinny paths instead: m == 1 runs a one-row kernel that
+// reads B in place (dot products straight from B's stored rows when
+// op(B) == B^T, so the weight matrix is never packed), and k == 1 runs a
+// rank-1 update.
+//
+// Every path computes the same float expression per output element: each
+// kKc-wide K block sums its products from 0.0f in strictly increasing k,
+// the first block overwrites C (unless accumulating) and later blocks are
+// added to it in order.  So results are bitwise identical whichever path
+// runs, and for K <= kKc they equal the textbook
+// `for k: c += a[i][k] * b[k][j]` loop.
 #pragma once
 
 #include <cstddef>

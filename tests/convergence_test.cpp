@@ -5,6 +5,7 @@
 
 #include <cmath>
 
+#include "train/checkpoint.h"
 #include "train/convergence.h"
 #include "train/synthetic.h"
 
@@ -205,6 +206,34 @@ TEST(Convergence, MstopkUsesLessCommunicationTime) {
   const auto mstopk = run_convergence(
       *mstopk_task, quick(ConvergenceAlgorithm::kMstopk, epochs));
   EXPECT_LT(mstopk.simulated_comm_seconds, 0.5 * topk.simulated_comm_seconds);
+}
+
+TEST(Convergence, Batch1MstopkEngineDigestIsFrozen) {
+  // Local batch 1 makes every autodiff product skinny: forward and dA are
+  // one-row products (the 300-wide hidden layer's forward spans two K
+  // blocks, and 300 and 50 are ragged against every column block), and
+  // every dW is a k = 1 rank-1 update.  The digest was captured with the
+  // generic 4x8 tiled kernel before the skinny paths existed, so it pins
+  // them to the tiled kernel's float expression bit for bit.
+  auto task = make_vision_task(41, "batch1-probe", {300, 64});
+  ConvergenceOptions options;
+  options.algorithm = ConvergenceAlgorithm::kMstopk;
+  options.nodes = 2;
+  options.gpus_per_node = 2;
+  options.local_batch = 1;
+  options.density = 0.05;
+  options.learning_rate = 0.01;
+  options.warmup_epochs = 0;
+  options.epochs = 1;
+  options.seed = 41;
+  ConvergenceEngine engine(*task, options);
+  engine.begin_epoch();
+  for (int i = 0; i < 6; ++i) engine.step();
+  const auto params = task->params();
+  const uint64_t digest =
+      fnv1a64({reinterpret_cast<const uint8_t*>(params.data()),
+               params.size() * sizeof(float)});
+  EXPECT_EQ(digest, 0x8e14e814d02a0255ull) << std::hex << "0x" << digest << "ull";
 }
 
 TEST(Convergence, CurveHasOneEntryPerEpoch) {

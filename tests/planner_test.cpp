@@ -34,6 +34,7 @@
 #include <string>
 #include <vector>
 
+#include "collectives/gtopk.h"
 #include "collectives/planner.h"
 #include "collectives/ring.h"
 #include "core/tensor.h"
@@ -301,6 +302,63 @@ TEST(Planner, SingleRankGroupIsTrivial) {
   t.span()[0] = 3.0f;
   EXPECT_EQ(planner.execute(cluster, {2}, {t.span()}, 8, 1.0, 1.5), 1.5);
   EXPECT_EQ(t.span()[0], 3.0f);
+}
+
+// A 4x2 fabric behind a 16:1-oversubscribed single-switch core, loaded by
+// one job-3 flow from node 0 to node 1.  The core serves those bytes four
+// times slower than the flow's own link, so job 3's core lane stays
+// reserved long after the flow has left the GPU ports: a later job-3 flow
+// queues behind it, another job's flow shares the core with it instead.
+Cluster loaded_by_job3() {
+  const Topology topo(4, 2, LinkParams{1e-6, 1e-9}, LinkParams{1e-5, 1e-9},
+                      /*nic_beta=*/1e-9, /*oversubscription=*/16.0);
+  Cluster cluster(topo);
+  cluster.submit({3, topo.rank_of(0, 0), topo.rank_of(1, 0), 4 << 20, 0.0});
+  return cluster;
+}
+
+GtopkOptions gtopk_under(int job, double density) {
+  GtopkOptions options;
+  options.density = density;
+  options.job = job;
+  return options;
+}
+
+TEST(GtopkJob, FlowsLandOnTheCallersJob) {
+  Cluster cluster = loaded_by_job3();
+  const size_t job0_inter = cluster.inter_node_bytes(0);
+  const size_t job0_intra = cluster.intra_node_bytes(0);
+  const size_t total_inter = cluster.inter_node_bytes();
+  gtopk_comm(cluster, {}, 1 << 20, gtopk_under(5, 0.01), 0.0);
+  EXPECT_GT(cluster.inter_node_bytes(5), 0u);
+  EXPECT_EQ(cluster.inter_node_bytes(5),
+            cluster.inter_node_bytes() - total_inter);
+  EXPECT_EQ(cluster.inter_node_bytes(0), job0_inter);
+  EXPECT_EQ(cluster.intra_node_bytes(0), job0_intra);
+}
+
+TEST(Planner, GtopkScoreReplaysUnderTheCallersJob) {
+  // The planner's gTop-k score for job j is a gtopk_comm replay under job j
+  // on a copy of the same loaded cluster.  Job 3 queues behind its own
+  // reservations while job 7 shares the ports with them, so the two
+  // scores differ.
+  const Cluster loaded = loaded_by_job3();
+  const size_t elems = 1 << 20;
+  const double density = 0.001;
+  double scored[2] = {};
+  const int jobs[2] = {3, 7};
+  for (int i = 0; i < 2; ++i) {
+    Planner planner;
+    const PlanChoice choice = planner.plan(loaded, elems, density, jobs[i]);
+    ASSERT_EQ(choice.algorithm, PlanAlgorithm::kGtopk) << choice.name;
+    Cluster replica = loaded;
+    const double direct =
+        gtopk_comm(replica, {}, elems, gtopk_under(jobs[i], density), 0.0)
+            .total;
+    EXPECT_EQ(choice.predicted_seconds, direct) << "job " << jobs[i];
+    scored[i] = choice.predicted_seconds;
+  }
+  EXPECT_NE(scored[0], scored[1]);
 }
 
 TEST(Planner, RejectsBadInputs) {
