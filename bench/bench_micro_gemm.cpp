@@ -1,19 +1,25 @@
 // Micro benchmark + CI smoke for the tiled SGEMM core (core/gemm.h).
 //
-// Runs the register-tiled sgemm() against the naive-loop reference at the
-// representative shapes of the autodiff engine — the MLP/sequence layer
-// products (batch x hidden) at the convergence-bench batch sizes and at
-// batch 1 (sgemm's one-row and rank-1 paths), their backward transposed
-// variants, and the im2col-lowered CNN convolutions —
-// and *fails* (non-zero exit) if the tiled kernel is slower than the naive
-// loop anywhere.  CI runs this as a regression gate, so a refactor that
-// breaks the microkernel's vectorization (e.g. by giving its inner loops
-// runtime trip counts; see core/gemm.cpp) shows up as a red build instead
-// of a silent several-fold convergence slowdown.
+// Runs sgemm() against the naive-loop reference at the representative
+// shapes of the autodiff engine — the MLP/sequence layer products (batch x
+// hidden) at the convergence-bench batch sizes and at batch 1 (sgemm's
+// one-row and rank-1 paths), their backward transposed variants, and the
+// im2col-lowered CNN convolutions.  At the shapes that run the tile path it
+// also times the baseline (SSE) tile instantiation next to the dispatched
+// one, and prints which instruction set sgemm dispatched to.
+//
+// It *fails* (non-zero exit) if sgemm is slower than the naive loop
+// anywhere, or, when sgemm dispatches to the AVX2 tiles, if they are slower
+// than the baseline tiles at any tile-path shape.  CI runs this as a
+// regression gate, so a refactor that breaks the microkernels'
+// vectorization (e.g. by giving the baseline kernel's inner loops runtime
+// trip counts, or by losing the AVX2 dispatch; see core/gemm.cpp) shows up
+// as a red build instead of a silent several-fold convergence slowdown.
 #include <chrono>
+#include <cstdio>
 #include <functional>
 #include <iostream>
-#include <cstdio>
+#include <string>
 #include <vector>
 
 #include "core/gemm.h"
@@ -32,14 +38,19 @@ struct Shape {
   size_t m, n, k;
 };
 
-double best_seconds(const std::function<void()>& fn, int reps) {
-  double best = 1e100;
+// Best-of-reps wall seconds of each function, timed in turn within every
+// rep so that load from the rest of the machine hits them alike.
+std::vector<double> best_seconds(
+    const std::vector<std::function<void()>>& fns, int reps) {
+  std::vector<double> best(fns.size(), 1e100);
   for (int r = 0; r < reps; ++r) {
-    const auto start = std::chrono::steady_clock::now();
-    fn();
-    const std::chrono::duration<double> dt =
-        std::chrono::steady_clock::now() - start;
-    best = std::min(best, dt.count());
+    for (size_t f = 0; f < fns.size(); ++f) {
+      const auto start = std::chrono::steady_clock::now();
+      fns[f]();
+      const std::chrono::duration<double> dt =
+          std::chrono::steady_clock::now() - start;
+      best[f] = std::min(best[f], dt.count());
+    }
   }
   return best;
 }
@@ -76,11 +87,17 @@ int main() {
       {"mlp b1 bwd dW h1", Trans::kYes, Trans::kNo, 64, 1024, 1},
   };
 
-  std::printf("=== bench_micro_gemm: tiled sgemm vs naive loops ===\n\n");
-  TablePrinter table({"shape", "m", "n", "k", "naive us", "tiled us",
-                      "speedup"});
+  using hitopk::gemm::TileIsa;
+  const TileIsa isa = hitopk::gemm::dispatched_tile_isa();
+  const bool has_avx2 = isa == TileIsa::kAvx2;
+  std::printf("=== bench_micro_gemm: sgemm vs naive loops ===\n");
+  std::printf("tile path dispatched to: %s\n\n",
+              has_avx2 ? "avx2 (4x16 tiles)" : "baseline sse2 (4x8 tiles)");
+  TablePrinter table({"shape", "m", "n", "k", "naive us", "base tile us",
+                      "sgemm us", "vs naive", "vs base"});
   Rng rng(7);
-  bool ok = true;
+  bool slower_than_naive = false;
+  bool slower_than_base = false;
   double worst = 1e100;
   for (const Shape& s : shapes) {
     const size_t a_elems = s.m * s.k;
@@ -94,35 +111,62 @@ int main() {
     // resolution on a 1-vCPU runner.
     const int inner = static_cast<int>(
         std::max<size_t>(4, (1u << 22) / (s.m * s.n * s.k)));
-    const double naive = best_seconds(
-        [&] {
-          for (int i = 0; i < inner; ++i) {
-            hitopk::gemm::sgemm_naive(s.trans_a, s.trans_b, s.m, s.n, s.k,
-                                      a.data(), lda, b.data(), ldb, c.data(),
-                                      s.n, false);
-          }
-        },
-        7) / inner;
-    const double tiled = best_seconds(
-        [&] {
-          for (int i = 0; i < inner; ++i) {
-            hitopk::gemm::sgemm(s.trans_a, s.trans_b, s.m, s.n, s.k, a.data(),
-                                lda, b.data(), ldb, c.data(), s.n, false);
-          }
-        },
-        7) / inner;
+    auto repeat = [inner](auto&& product) {
+      return [inner, product] {
+        for (int i = 0; i < inner; ++i) product();
+      };
+    };
+    std::vector<std::function<void()>> fns = {
+        repeat([&] {
+          hitopk::gemm::sgemm_naive(s.trans_a, s.trans_b, s.m, s.n, s.k,
+                                    a.data(), lda, b.data(), ldb, c.data(),
+                                    s.n, false);
+        }),
+        repeat([&] {
+          hitopk::gemm::sgemm(s.trans_a, s.trans_b, s.m, s.n, s.k, a.data(),
+                              lda, b.data(), ldb, c.data(), s.n, false);
+        })};
+    // The skinny shapes (m == 1 or k == 1) never reach the tiles.
+    const bool tile_path = s.m > 1 && s.k > 1;
+    if (tile_path && has_avx2) {
+      fns.push_back(repeat([&] {
+        hitopk::gemm::internal::sgemm_tiles(
+            TileIsa::kBaseline, s.trans_a, s.trans_b, s.m, s.n, s.k, a.data(),
+            lda, b.data(), ldb, c.data(), s.n, false);
+      }));
+    }
+    const std::vector<double> best = best_seconds(fns, 7);
+    const double naive = best[0] / inner;
+    const double tiled = best[1] / inner;
     const double speedup = naive / tiled;
     worst = std::min(worst, speedup);
-    if (tiled > naive) ok = false;
+    if (tiled > naive) slower_than_naive = true;
+    std::string base_us = "-", vs_base = "-";
+    if (fns.size() == 3) {
+      const double base = best[2] / inner;
+      if (tiled > base) slower_than_base = true;
+      base_us = TablePrinter::fmt(base * 1e6, 2);
+      vs_base = TablePrinter::fmt(base / tiled, 2) + "x";
+    }
     table.add_row({s.label, std::to_string(s.m), std::to_string(s.n),
                    std::to_string(s.k),
-                   TablePrinter::fmt(naive * 1e6, 2),
+                   TablePrinter::fmt(naive * 1e6, 2), base_us,
                    TablePrinter::fmt(tiled * 1e6, 2),
-                   TablePrinter::fmt(speedup, 2) + "x"});
+                   TablePrinter::fmt(speedup, 2) + "x", vs_base});
   }
   table.print(std::cout);
-  std::printf("\nworst speedup: %.2fx — %s\n", worst,
-              ok ? "OK (tiled never slower than naive)"
-                 : "FAIL (tiled slower than the naive loop)");
+  std::printf("\nworst speedup over naive: %.2fx — %s\n", worst,
+              slower_than_naive ? "FAIL (sgemm slower than the naive loop)"
+                                : "OK (sgemm never slower than naive)");
+  if (has_avx2) {
+    std::printf("avx2 tiles vs baseline tiles: %s\n",
+                slower_than_base
+                    ? "FAIL (avx2 tiles slower than the baseline tiles)"
+                    : "OK (avx2 tiles never slower)");
+  } else {
+    std::printf("avx2 tiles vs baseline tiles: not compared (no AVX2: "
+                "sgemm runs the baseline tiles)\n");
+  }
+  const bool ok = !slower_than_naive && !slower_than_base;
   return ok ? 0 : 1;
 }

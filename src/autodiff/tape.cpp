@@ -5,6 +5,10 @@
 #include <cmath>
 #include <cstring>
 
+#ifdef __SSE2__
+#include <emmintrin.h>
+#endif
+
 #include "core/check.h"
 #include "core/gemm.h"
 
@@ -134,6 +138,55 @@ void col2im_add(const float* col, size_t c_in, size_t h, size_t w, size_t k,
   }
 }
 
+// ReLU masks as SSE2 selects.  Written as `x > 0 ? x : 0` or `if (m > 0)`
+// these compile to a compare and jump per element, and conv outputs are
+// about half negative, so the jump mispredicts about half the time.  The
+// selects keep the scalar results bit for bit, NaN and -0.0 included; the
+// scalar tail (and the whole loop on targets without SSE2) is the reference
+// expression itself.
+
+// out = x + bias > 0 ? x + bias : 0, with bias == nullptr meaning no bias.
+// maxps returns its second operand unless the first is greater, so
+// max(z, 0) is exactly `z > 0 ? z : 0`: 0 for NaN and for -0.0.
+void relu_forward(const float* __restrict__ x, const float* __restrict__ bias,
+                  float* __restrict__ out, size_t n) {
+  size_t i = 0;
+#ifdef __SSE2__
+  const __m128 zero = _mm_setzero_ps();
+  for (; i + 4 <= n; i += 4) {
+    __m128 z = _mm_loadu_ps(x + i);
+    if (bias != nullptr) z = _mm_add_ps(z, _mm_loadu_ps(bias + i));
+    _mm_storeu_ps(out + i, _mm_max_ps(z, zero));
+  }
+#endif
+  for (; i < n; ++i) {
+    const float z = bias != nullptr ? x[i] + bias[i] : x[i];
+    out[i] = z > 0.0f ? z : 0.0f;
+  }
+}
+
+// acc[i] = mask[i] > 0 ? acc[i] + g[i] : acc[i].  A blend, not an add of a
+// masked-to-zero g: -0.0 + 0.0 is +0.0, so that would flip an untouched
+// -0.0 gradient.
+void relu_masked_add(const float* __restrict__ mask,
+                     const float* __restrict__ g, float* __restrict__ acc,
+                     size_t n) {
+  size_t i = 0;
+#ifdef __SSE2__
+  const __m128 zero = _mm_setzero_ps();
+  for (; i + 4 <= n; i += 4) {
+    const __m128 on = _mm_cmpgt_ps(_mm_loadu_ps(mask + i), zero);
+    const __m128 old = _mm_loadu_ps(acc + i);
+    const __m128 sum = _mm_add_ps(old, _mm_loadu_ps(g + i));
+    _mm_storeu_ps(acc + i,
+                  _mm_or_ps(_mm_and_ps(on, sum), _mm_andnot_ps(on, old)));
+  }
+#endif
+  for (; i < n; ++i) {
+    if (mask[i] > 0.0f) acc[i] += g[i];
+  }
+}
+
 }  // namespace
 
 void Tape::reset() {
@@ -253,9 +306,7 @@ VarId Tape::relu(VarId x) {
   Node& self = nodes_.back();
   const auto vx = node_value(check_id(x));
   auto out = arena_.span(self.value_offset, vx.size());
-  for (size_t i = 0; i < vx.size(); ++i) {
-    out[i] = vx[i] > 0.0f ? vx[i] : 0.0f;
-  }
+  relu_forward(vx.data(), nullptr, out.data(), vx.size());
   return id;
 }
 
@@ -275,12 +326,8 @@ VarId Tape::add_bias_relu(VarId x, VarId bias) {
   const auto vb = node_value(check_id(bias));
   auto out = arena_.span(self.value_offset, self.rows * self.cols);
   for (size_t i = 0; i < self.rows; ++i) {
-    const float* xrow = &vx[i * self.cols];
-    float* orow = &out[i * self.cols];
-    for (size_t j = 0; j < self.cols; ++j) {
-      const float z = xrow[j] + vb[j];
-      orow[j] = z > 0.0f ? z : 0.0f;
-    }
+    relu_forward(&vx[i * self.cols], vb.data(), &out[i * self.cols],
+                 self.cols);
   }
   return id;
 }
@@ -585,15 +632,13 @@ void Tape::backward() {
         if (gx.empty()) break;
         const auto gc = node_grad(n);
         const auto vx = node_value(check_id(n.a));
-        for (size_t i = 0; i < gc.size(); ++i) {
-          if (vx[i] > 0.0f) gx[i] += gc[i];
-        }
+        relu_masked_add(vx.data(), gc.data(), gx.data(), gc.size());
         break;
       }
       case Op::kBiasRelu: {
-        // out = relu(x + b): the mask is out > 0 (== x + b > 0); one fused
-        // pass accumulates both input grads, matching add_bias-then-relu
-        // bitwise.
+        // out = relu(x + b): the mask is out > 0 (== x + b > 0); per row,
+        // one masked add into each input grad, matching add_bias-then-relu
+        // bitwise (gb still sums its rows in increasing i).
         const auto gc = node_grad(n);
         const auto out = node_value(n);
         auto gx = node_grad(check_id(n.a));
@@ -601,12 +646,10 @@ void Tape::backward() {
         for (size_t i = 0; i < n.rows; ++i) {
           const float* orow = &out[i * n.cols];
           const float* grow = &gc[i * n.cols];
-          for (size_t j = 0; j < n.cols; ++j) {
-            if (orow[j] > 0.0f) {
-              if (!gx.empty()) gx[i * n.cols + j] += grow[j];
-              if (!gb.empty()) gb[j] += grow[j];
-            }
+          if (!gx.empty()) {
+            relu_masked_add(orow, grow, &gx[i * n.cols], n.cols);
           }
+          if (!gb.empty()) relu_masked_add(orow, grow, gb.data(), n.cols);
         }
         break;
       }

@@ -43,7 +43,7 @@ SparseTensor DgcTopK::compress(std::span<const float> x, size_t k) {
 
   // Select candidates above the estimated threshold, relaxing the threshold
   // when the estimate was too aggressive.
-  Scratch<uint32_t> candidates_buf(0);
+  Scratch<uint32_t> candidates_buf;
   std::vector<uint32_t>& candidates = candidates_buf.vec();
   for (int attempt = 0; attempt < 8; ++attempt) {
     candidates.clear();

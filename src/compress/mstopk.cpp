@@ -66,8 +66,8 @@ SparseTensor MsTopK::compress(std::span<const float> x, size_t k) {
 }
 
 SparseTensor MsTopK::bit_select(std::span<const float> x, size_t k) {
-  Scratch<uint32_t> certain_buf(0);
-  Scratch<uint32_t> band_buf(0);
+  Scratch<uint32_t> certain_buf;
+  Scratch<uint32_t> band_buf;
   std::vector<uint32_t>& certain = certain_buf.vec();
   std::vector<uint32_t>& band = band_buf.vec();
   const MagnitudeBrackets brackets =
@@ -162,8 +162,8 @@ SparseTensor MsTopK::gather_selection(std::span<const float> x, size_t k) {
   // [thres2, thres1).  thres1 == 0 means no threshold ever selected <= k
   // elements (heavy ties at the max); then the certain set is empty and the
   // band is everything >= thres2.
-  Scratch<uint32_t> certain_buf(0);
-  Scratch<uint32_t> band_buf(0);
+  Scratch<uint32_t> certain_buf;
+  Scratch<uint32_t> band_buf;
   std::vector<uint32_t>& certain = certain_buf.vec();
   std::vector<uint32_t>& band = band_buf.vec();
   certain.reserve(stats_.k1);

@@ -205,7 +205,7 @@ MagnitudeBrackets bracket_kth_magnitude(std::span<const float> x, size_t k,
   // are certain winners; the bucket's occupants become candidates carrying
   // their magnitude bits (index order preserved).  Sizes are known exactly
   // from the histogram — no reallocation.
-  Scratch<uint32_t> own_certain(0);
+  Scratch<uint32_t> own_certain;
   std::vector<uint32_t>& sure = certain != nullptr ? *certain
                                                    : own_certain.vec();
   sure.resize(scan.above);

@@ -39,13 +39,12 @@ template <typename T>
 class Scratch {
  public:
   // Checks out a buffer and resizes it to n elements.  Contents are
-  // unspecified unless `zeroed` is true.
+  // unspecified unless `zeroed` is true.  A zero-length checkout takes no
+  // buffer from the pool: shrinking a pooled buffer to 0 would make its next
+  // full-size checkout value-initialize all of it again.
   explicit Scratch(size_t n, bool zeroed = false) {
-    auto& pool = detail::workspace_pool<T>();
-    if (!pool.empty()) {
-      buffer_ = std::move(pool.back());
-      pool.pop_back();
-    }
+    if (n == 0) return;
+    take_pooled();
     if (zeroed) {
       buffer_.assign(n, T{});
     } else {
@@ -58,8 +57,20 @@ class Scratch {
     }
   }
 
+  // Checks out a buffer emptied for the caller to grow through vec()
+  // (push_back, resize); its capacity is kept, so steady-state growth
+  // reallocates nothing.
+  Scratch() {
+    take_pooled();
+    buffer_.clear();
+  }
+
   ~Scratch() {
-    detail::workspace_pool<T>().push_back(std::move(buffer_));
+    // A zero-length checkout took no buffer, and one that was never given
+    // storage has nothing worth pooling.
+    if (buffer_.capacity() != 0) {
+      detail::workspace_pool<T>().push_back(std::move(buffer_));
+    }
   }
 
   Scratch(const Scratch&) = delete;
@@ -74,6 +85,14 @@ class Scratch {
   const T& operator[](size_t i) const { return buffer_[i]; }
 
  private:
+  void take_pooled() {
+    auto& pool = detail::workspace_pool<T>();
+    if (!pool.empty()) {
+      buffer_ = std::move(pool.back());
+      pool.pop_back();
+    }
+  }
+
   std::vector<T> buffer_;
 };
 

@@ -2,8 +2,11 @@
 // for every operator.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <functional>
+#include <limits>
 #include <vector>
 
 #include "autodiff/tape.h"
@@ -468,6 +471,128 @@ TEST(TapeGradient, Conv2dInputGradientFlowsThroughStackedConvs) {
   double norm1 = 0.0;
   for (float v : g1) norm1 += std::fabs(v);
   EXPECT_GT(norm1, 0.0);
+}
+
+// ------------------------------------------------- relu mask oracles
+//
+// relu and add_bias_relu, forward and backward, against scalar loops written
+// here, over +-0, +-Inf, NaN and denormals at every length 1..37 (so every
+// vector tail runs), compared by bit pattern.
+
+// The NaN every operand carries.  Made at run time from Inf * 0, so it is
+// the NaN this CPU's own arithmetic produces: Inf - Inf and Inf * 0 inside
+// the kernels then yield the same bits, and which operand a NaN-propagating
+// add or max happens to return cannot show.
+float runtime_nan() {
+  volatile float inf = std::numeric_limits<float>::infinity();
+  return inf * 0.0f;
+}
+
+// Mostly special values; +Inf only when `with_pos_inf` (a +Inf logit turns
+// its softmax row, and so every upstream gradient in it, into NaN).
+std::vector<float> special_mix(size_t count, bool with_pos_inf, Rng& rng) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float denorm = std::numeric_limits<float>::denorm_min();
+  const float specials[] = {0.0f, -0.0f, -inf, runtime_nan(), denorm * 3,
+                            -denorm * 5, 1e-39f, -1e-39f, inf};
+  const size_t palette = with_pos_inf ? 9 : 8;
+  std::vector<float> v(count);
+  for (float& x : v) {
+    x = rng.uniform() < 0.6
+            ? specials[rng.uniform_index(palette)]
+            : static_cast<float>(rng.normal());
+  }
+  return v;
+}
+
+void expect_same_bits(std::span<const float> got,
+                      std::span<const float> want, const char* what,
+                      size_t len) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(std::bit_cast<uint32_t>(got[i]), std::bit_cast<uint32_t>(want[i]))
+        << what << " length " << len << " element " << i << ": got "
+        << got[i] << ", want " << want[i];
+  }
+}
+
+// The gradient softmax_cross_entropy hands to its logits: the logits enter
+// a second tape as a leaf whose grad starts at +0.0, as the first tape's
+// arena grad blocks do, so the first tape's upstream gradient is reproduced
+// bit for bit without reading its internals.
+std::vector<float> xent_upstream(std::span<const float> logits, size_t rows,
+                                 size_t cols, const std::vector<int>& labels) {
+  std::vector<float> grad(logits.size(), 0.0f);
+  Tape tape;
+  tape.softmax_cross_entropy(tape.leaf(logits, grad, rows, cols), labels);
+  tape.backward();
+  return grad;
+}
+
+TEST(ReluMaskOracle, ReluForwardAndBackwardMatchScalarLoops) {
+  Rng rng(77);
+  for (size_t len = 1; len <= 37; ++len) {
+    const std::vector<float> x = special_mix(len, len % 2 == 1, rng);
+    const std::vector<int> labels{static_cast<int>(len / 2)};
+    // gx starts at -0.0: an untouched lane must keep it, and adding a
+    // masked-to-zero gradient there would give +0.0.
+    std::vector<float> gx(len, -0.0f);
+    Tape tape;
+    const VarId out = tape.relu(tape.leaf(x, gx, 1, len));
+    tape.softmax_cross_entropy(out, labels);
+    tape.backward();
+
+    std::vector<float> want_out(len);
+    for (size_t i = 0; i < len; ++i) want_out[i] = x[i] > 0.0f ? x[i] : 0.0f;
+    expect_same_bits(tape.value(out), want_out, "relu forward", len);
+
+    const std::vector<float> gc = xent_upstream(want_out, 1, len, labels);
+    std::vector<float> want_gx(len, -0.0f);
+    for (size_t i = 0; i < len; ++i) {
+      if (x[i] > 0.0f) want_gx[i] = want_gx[i] + gc[i];
+    }
+    expect_same_bits(gx, want_gx, "relu backward", len);
+  }
+}
+
+TEST(ReluMaskOracle, BiasReluForwardAndBackwardMatchScalarLoops) {
+  Rng rng(78);
+  constexpr size_t kRows = 3;
+  for (size_t len = 1; len <= 37; ++len) {
+    const std::vector<float> x = special_mix(kRows * len, len % 2 == 1, rng);
+    const std::vector<float> bias = special_mix(len, false, rng);
+    const std::vector<int> labels{0, static_cast<int>(len - 1),
+                                  static_cast<int>(len / 2)};
+    std::vector<float> gx(kRows * len, -0.0f), gb(len, -0.0f);
+    Tape tape;
+    const VarId out = tape.add_bias_relu(tape.leaf(x, gx, kRows, len),
+                                         tape.leaf(bias, gb, 1, len));
+    tape.softmax_cross_entropy(out, labels);
+    tape.backward();
+
+    std::vector<float> want_out(kRows * len);
+    for (size_t i = 0; i < kRows; ++i) {
+      for (size_t j = 0; j < len; ++j) {
+        const float z = x[i * len + j] + bias[j];
+        want_out[i * len + j] = z > 0.0f ? z : 0.0f;
+      }
+    }
+    expect_same_bits(tape.value(out), want_out, "bias relu forward", len);
+
+    const std::vector<float> gc = xent_upstream(want_out, kRows, len, labels);
+    std::vector<float> want_gx(kRows * len, -0.0f), want_gb(len, -0.0f);
+    for (size_t i = 0; i < kRows; ++i) {
+      for (size_t j = 0; j < len; ++j) {
+        const size_t e = i * len + j;
+        if (want_out[e] > 0.0f) {
+          want_gx[e] = want_gx[e] + gc[e];
+          want_gb[j] = want_gb[j] + gc[e];
+        }
+      }
+    }
+    expect_same_bits(gx, want_gx, "bias relu backward (x)", len);
+    expect_same_bits(gb, want_gb, "bias relu backward (bias)", len);
+  }
 }
 
 TEST(Tape, CountTopkCorrect) {

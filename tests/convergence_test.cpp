@@ -236,6 +236,33 @@ TEST(Convergence, Batch1MstopkEngineDigestIsFrozen) {
   EXPECT_EQ(digest, 0x8e14e814d02a0255ull) << std::hex << "0x" << digest << "ull";
 }
 
+TEST(Convergence, DenseCnnEngineDigestIsFrozen) {
+  // Dense-SGD on the CNN proxy at local batch 32: every step runs the conv
+  // products through the generic GEMM tiles (forward 16x144x144 NN, dW NT,
+  // dcol TN, and conv1's k = 9 and n = 9 products) and both relu masks.
+  // The digest was captured with the baseline 4x8 tiles and branching
+  // relu loops, so it pins the AVX2 tiles and the branch-free masks to
+  // their float expressions bit for bit.
+  auto task = make_cnn_task(43);
+  ConvergenceOptions options;
+  options.algorithm = ConvergenceAlgorithm::kDense;
+  options.nodes = 2;
+  options.gpus_per_node = 2;
+  options.local_batch = 32;
+  options.learning_rate = 0.4;
+  options.warmup_epochs = 0;
+  options.epochs = 1;
+  options.seed = 43;
+  ConvergenceEngine engine(*task, options);
+  engine.begin_epoch();
+  for (int i = 0; i < 3; ++i) engine.step();
+  const auto params = task->params();
+  const uint64_t digest =
+      fnv1a64({reinterpret_cast<const uint8_t*>(params.data()),
+               params.size() * sizeof(float)});
+  EXPECT_EQ(digest, 0xf5a0c2a0f3701641ull) << std::hex << "0x" << digest << "ull";
+}
+
 TEST(Convergence, CurveHasOneEntryPerEpoch) {
   auto task = make_vision_task(29);
   const auto result =

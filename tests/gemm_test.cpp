@@ -11,6 +11,8 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <functional>
+#include <limits>
 #include <vector>
 
 #include "core/gemm.h"
@@ -57,8 +59,8 @@ void check_shape(Trans trans_a, Trans trans_b, size_t m, size_t n, size_t k,
 }
 
 TEST(Gemm, AllVariantsRaggedShapesMatchNaive) {
-  // Shapes straddle the kMr=4 / kNr=8 tile edges: one below, exact, one
-  // above, plus degenerate single-row/column cases.
+  // Shapes straddle the 4-row and the 8- and 16-column tile edges: one
+  // below, exact, one above, plus degenerate single-row/column cases.
   const size_t sizes[] = {1, 3, 4, 5, 7, 8, 9, 16, 17, 33};
   const Trans variants[] = {Trans::kNo, Trans::kYes};
   uint64_t seed = 1;
@@ -174,11 +176,40 @@ std::vector<float> signed_zero_mix(size_t count, double zero_share,
   return v;
 }
 
-// Runs sgemm and the oracle on strided operands (every leading dimension
-// padded past its row) and compares the whole C buffer, padding included,
-// by bit pattern: == would accept +0.0 for -0.0.
-void check_bitwise(Trans trans_a, Trans trans_b, size_t m, size_t n, size_t k,
-                   bool accumulate, uint64_t seed) {
+// The signed-zero mix with `share` of the entries each replaced by NaN,
+// +Inf or -Inf.  The NaN is made at run time from Inf * 0, so it has the
+// bits this CPU's arithmetic gives every NaN it creates (Inf - Inf, Inf *
+// 0): which operand a NaN-propagating add returns then cannot show.
+std::vector<float> non_finite_mix(size_t count, double share, Rng& rng) {
+  volatile float inf_v = std::numeric_limits<float>::infinity();
+  const float inf = inf_v;
+  const float nan = inf_v * 0.0f;
+  std::vector<float> v = signed_zero_mix(count, 0.3, rng);
+  for (float& x : v) {
+    const double u = rng.uniform();
+    if (u < share) {
+      x = nan;
+    } else if (u < 2 * share) {
+      x = inf;
+    } else if (u < 3 * share) {
+      x = -inf;
+    }
+  }
+  return v;
+}
+
+// sgemm, or one tile instantiation reached directly.
+using Product = std::function<void(Trans, Trans, size_t, size_t, size_t,
+                                   const float*, size_t, const float*,
+                                   size_t, float*, size_t, bool)>;
+
+// Runs `product` and the oracle on strided operands (every leading
+// dimension padded past its row) and compares the whole C buffer, padding
+// included, by bit pattern: == would accept +0.0 for -0.0.  Operands are
+// the signed-zero mix, or with `non_finite` also NaN and +-Inf.
+void check_bitwise_with(const Product& product, bool non_finite,
+                        Trans trans_a, Trans trans_b, size_t m, size_t n,
+                        size_t k, bool accumulate, uint64_t seed) {
   Rng rng(seed);
   const size_t lda = (trans_a == Trans::kNo ? k : m) + 3;
   const size_t ldb = (trans_b == Trans::kNo ? n : k) + 5;
@@ -187,12 +218,16 @@ void check_bitwise(Trans trans_a, Trans trans_b, size_t m, size_t n, size_t k,
   const size_t b_rows = trans_b == Trans::kNo ? k : n;
   // Half the entries are signed zeros, so many k = 1 products and short
   // sums are exactly +-0 and C holds -0.0 where they land.
-  const std::vector<float> a = signed_zero_mix(a_rows * lda, 0.5, rng);
-  const std::vector<float> b = signed_zero_mix(b_rows * ldb, 0.5, rng);
-  std::vector<float> c_fast = signed_zero_mix(m * ldc, 0.5, rng);
+  auto operands = [&](size_t count) {
+    return non_finite ? non_finite_mix(count, 0.02, rng)
+                      : signed_zero_mix(count, 0.5, rng);
+  };
+  const std::vector<float> a = operands(a_rows * lda);
+  const std::vector<float> b = operands(b_rows * ldb);
+  std::vector<float> c_fast = operands(m * ldc);
   std::vector<float> c_oracle = c_fast;
-  sgemm(trans_a, trans_b, m, n, k, a.data(), lda, b.data(), ldb,
-        c_fast.data(), ldc, accumulate);
+  product(trans_a, trans_b, m, n, k, a.data(), lda, b.data(), ldb,
+          c_fast.data(), ldc, accumulate);
   blocked_k_oracle(trans_a, trans_b, m, n, k, a.data(), lda, b.data(), ldb,
                    c_oracle.data(), ldc, accumulate);
   for (size_t e = 0; e < c_fast.size(); ++e) {
@@ -204,6 +239,12 @@ void check_bitwise(Trans trans_a, Trans trans_b, size_t m, size_t n, size_t k,
         << " accumulate=" << accumulate << ": got " << c_fast[e]
         << ", oracle " << c_oracle[e];
   }
+}
+
+void check_bitwise(Trans trans_a, Trans trans_b, size_t m, size_t n, size_t k,
+                   bool accumulate, uint64_t seed) {
+  check_bitwise_with(sgemm, false, trans_a, trans_b, m, n, k, accumulate,
+                     seed);
 }
 
 constexpr Trans kTransVariants[] = {Trans::kNo, Trans::kYes};
@@ -265,6 +306,100 @@ TEST(GemmBitwise, SignedZeroProductIntoNegativeZeroBecomesPositiveZero) {
     }
   }
 }
+
+// ------------------------------------------ both tile instantiations
+//
+// The baseline (4x8) and AVX2 (4x16) tiles, each reached directly through
+// internal::sgemm_tiles, against the same blocked-K oracle.  Only one of
+// them runs inside sgemm on a given CPU; this holds the other to the same
+// bits too.  The AVX2 cases skip on CPUs without AVX2.
+
+class GemmTiles : public ::testing::TestWithParam<TileIsa> {
+ protected:
+  void SetUp() override {
+    if (GetParam() == TileIsa::kAvx2 &&
+        dispatched_tile_isa() != TileIsa::kAvx2) {
+      GTEST_SKIP() << "this CPU has no AVX2";
+    }
+  }
+
+  Product tiles() const {
+    const TileIsa isa = GetParam();
+    return [isa](Trans ta, Trans tb, size_t m, size_t n, size_t k,
+                 const float* a, size_t lda, const float* b, size_t ldb,
+                 float* c, size_t ldc, bool accumulate) {
+      internal::sgemm_tiles(isa, ta, tb, m, n, k, a, lda, b, ldb, c, ldc,
+                            accumulate);
+    };
+  }
+};
+
+constexpr Trans kAllTrans[][2] = {{Trans::kNo, Trans::kNo},
+                                  {Trans::kNo, Trans::kYes},
+                                  {Trans::kYes, Trans::kNo},
+                                  {Trans::kYes, Trans::kYes}};
+
+TEST_P(GemmTiles, DenseCnnConvShapesMatchBlockedKOracle) {
+  // The CNN proxy's per-image products (m x n x k): conv2 forward (NN) and
+  // dW (NT) 16x144x144, dcol (TN) 144x144x16, conv1 forward 16x144x9 and
+  // conv1 dW 16x9x144; every Trans variant of each.
+  struct Shape {
+    size_t m, n, k;
+  };
+  const Shape shapes[] = {
+      {16, 144, 144}, {144, 144, 16}, {16, 144, 9}, {16, 9, 144}};
+  uint64_t seed = 7000;
+  for (const Shape& sh : shapes) {
+    for (const auto& t : kAllTrans) {
+      for (bool accumulate : {false, true}) {
+        check_bitwise_with(tiles(), false, t[0], t[1], sh.m, sh.n, sh.k,
+                           accumulate, seed++);
+      }
+    }
+  }
+}
+
+TEST_P(GemmTiles, RaggedShapesMatchBlockedKOracle) {
+  // m straddles the 4-row tile, n the 8- and 16-wide tiles, and K one,
+  // two and three kKc blocks.
+  uint64_t seed = 8000;
+  for (const auto& t : kAllTrans) {
+    for (bool accumulate : {false, true}) {
+      for (size_t m : {3, 4, 5}) {
+        for (size_t n : {7, 8, 9, 15, 16, 17, 31, 33}) {
+          for (size_t k : {2, 255, 256, 257, 600}) {
+            check_bitwise_with(tiles(), false, t[0], t[1], m, n, k,
+                               accumulate, seed++);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST_P(GemmTiles, NanAndInfOperandsMatchBlockedKOracle) {
+  // NaN and +-Inf in A, B and C: Inf * 0 and Inf - Inf turn into NaN in
+  // the same places, and the rest keep their sign.
+  uint64_t seed = 9000;
+  for (const auto& t : kAllTrans) {
+    for (bool accumulate : {false, true}) {
+      for (size_t m : {3, 5}) {
+        for (size_t n : {9, 17, 33}) {
+          for (size_t k : {2, 5, 33, 257}) {
+            check_bitwise_with(tiles(), true, t[0], t[1], m, n, k,
+                               accumulate, seed++);
+          }
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Isa, GemmTiles, ::testing::Values(TileIsa::kBaseline, TileIsa::kAvx2),
+    [](const ::testing::TestParamInfo<TileIsa>& info) {
+      return info.param == TileIsa::kAvx2 ? "Avx2" : "Baseline";
+    });
 
 }  // namespace
 }  // namespace hitopk::gemm

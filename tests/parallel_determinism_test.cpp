@@ -144,6 +144,52 @@ TEST(Workspace, BuffersAreReturnedAndReused) {
   workspace_clear();
 }
 
+TEST(Workspace, ZeroLengthCheckoutTakesNoBuffer) {
+  // A zero-length checkout must not pop a pooled buffer and shrink it:
+  // the next full-size checkout would then value-initialize all of it.
+  workspace_clear();
+  const float* pooled = nullptr;
+  {
+    Scratch<float> full(4096);
+    pooled = full.data();
+  }
+  ASSERT_EQ(workspace_cached_buffers(), 1u);
+  {
+    Scratch<float> empty(0);
+    EXPECT_EQ(empty.size(), 0u);
+    EXPECT_EQ(workspace_cached_buffers(), 1u);
+  }
+  EXPECT_EQ(workspace_cached_buffers(), 1u);
+  {
+    Scratch<float> again(4096);
+    EXPECT_EQ(again.data(), pooled);
+    EXPECT_EQ(workspace_cached_buffers(), 0u);
+  }
+  workspace_clear();
+}
+
+TEST(Workspace, GrowableCheckoutKeepsCapacity) {
+  // Scratch() hands out an emptied pooled buffer for push_back-style use
+  // and returns it, grown, to the pool.
+  workspace_clear();
+  const uint32_t* grown = nullptr;
+  {
+    Scratch<uint32_t> list;
+    EXPECT_EQ(list.size(), 0u);
+    for (uint32_t i = 0; i < 1000; ++i) list.vec().push_back(i);
+    grown = list.data();
+  }
+  EXPECT_EQ(workspace_cached_buffers(), 1u);
+  {
+    Scratch<uint32_t> list;
+    EXPECT_EQ(list.size(), 0u);
+    EXPECT_GE(list.vec().capacity(), 1000u);
+    list.vec().push_back(7);
+    EXPECT_EQ(list.data(), grown);
+  }
+  workspace_clear();
+}
+
 TEST(Workspace, ZeroedCheckoutIsZero) {
   {
     Scratch<float> dirty(256);
