@@ -5,25 +5,6 @@
 #include "collectives/ring.h"
 
 namespace hitopk::coll {
-namespace {
-
-// Records the exact engine-path ring All-Reduce (ring.cpp ring_allreduce):
-// fused-chain Reduce-Scatter, collapse sync, resolved All-Gather.
-void build_ring_allreduce(Schedule& sched, const Group& group,
-                          const RankData& data, size_t elems,
-                          WireDtype wire) {
-  if (group.size() <= 1) return;
-  std::vector<Group> groups{group};
-  std::vector<RankData> group_data;
-  if (!data.empty()) group_data.push_back(data);
-  const RingGrid grid = ring_grid(sched, groups, group_data, wire);
-  build_ring_reduce_scatter(sched, groups, grid, elems, wire,
-                            /*fused_chains=*/true);
-  sched.sync(/*collapse=*/true, "reduce_scatter");
-  build_ring_allgather(sched, groups, grid, elems, wire);
-}
-
-}  // namespace
 
 SurvivorWorld shrink_topology(const simnet::Topology& topology,
                               const std::vector<int>& dead_ranks) {
@@ -136,16 +117,12 @@ ElasticResult elastic_allreduce(const simnet::Topology& topology,
       }
     }
 
-    ScheduleOutcome outcome;
+    Schedule sched;
     switch (options.algorithm) {
-      case ElasticAlgorithm::kRing: {
-        Schedule sched;
+      case ElasticAlgorithm::kRing:
         build_ring_allreduce(sched, world_group(world.topology), attempt_data,
                              elems, options.wire);
-        outcome = sched.run_timing_abortable(cluster, now);
-        if (outcome.completed()) sched.run_data();
         break;
-      }
       case ElasticAlgorithm::kBlueConnect: {
         BlueConnectOptions bc = options.blueconnect;
         int product = 1;
@@ -159,19 +136,17 @@ ElasticResult elastic_allreduce(const simnet::Topology& topology,
                            ? std::vector<int>{}
                            : std::vector<int>{p};
         }
-        Schedule sched;
         build_blueconnect(sched, world.topology, attempt_data, elems, bc);
-        outcome = sched.run_timing_abortable(cluster, now);
-        if (outcome.completed()) sched.run_data();
         break;
       }
-      case ElasticAlgorithm::kGtopk: {
-        GtopkOptions gt = options.gtopk;
-        gt.outcome = &outcome;
-        gtopk_comm(cluster, attempt_data, elems, gt, now);
+      case ElasticAlgorithm::kGtopk:
+        build_gtopk(sched, world.topology, attempt_data, elems, options.gtopk);
         break;
-      }
     }
+    // An aborted attempt never runs the data pass: buffers and error
+    // feedback residuals stay exactly as the caller handed them in.
+    const ScheduleOutcome outcome = sched.run_timing_abortable(cluster, now);
+    if (outcome.completed()) sched.run_data();
 
     result.attempts.push_back(ElasticAttempt{outcome, p});
     result.surviving_world = p;

@@ -3,13 +3,15 @@
 // A preemption mid-collective surfaces as an aborted ScheduleOutcome (see
 // schedule.h).  The elastic layer turns that into graceful degradation: it
 // drops the dead ranks, renumbers the survivors into a dense world over a
-// shrunk Topology, re-derives the collective's schedule for that world —
-// ring and BlueConnect from the public ring builders, gTop-k through its
-// fold/unfold shape — and retries, charging the abort's detection timeout
-// plus a fixed reschedule cost per attempt.  Aborted attempts never run the
-// data pass, so the gradients a retry consumes are exactly the inputs; the
-// completed attempt is therefore bitwise identical to a fresh run at the
-// surviving world size (pinned by schedule_equivalence_test).
+// shrunk Topology, re-builds the collective's schedule for that world
+// (build_ring_allreduce, build_blueconnect or build_gtopk), and retries,
+// charging the abort's detection timeout plus a fixed reschedule cost per
+// attempt.  Every algorithm runs the same way: run_timing_abortable, then
+// run_data only when the replay completed.  Aborted attempts therefore
+// touch neither the buffers nor gTop-k's error-feedback residuals, so a
+// retry consumes exactly the inputs and the completed attempt is bitwise
+// identical to a fresh run at the surviving world size from the same
+// residuals (pinned by schedule_equivalence_test).
 //
 // The membership of every attempt is re-derived from the *full original
 // world's* liveness at that attempt's start time, so the world both shrinks
@@ -55,7 +57,9 @@ struct ElasticOptions {
   // invalidates them the stage factorization is re-derived from the shrunk
   // topology (auto when it stays uniform, a flat ring otherwise).
   BlueConnectOptions blueconnect;
-  GtopkOptions gtopk;  // gTop-k path (outcome field is managed internally)
+  // gTop-k path.  EF keys are "<ef_key_prefix>:<rank>" with the rank in
+  // the attempt's renumbered world.
+  GtopkOptions gtopk;
   // Fixed cost per rebuild: survivor rendezvous + schedule re-derivation.
   double reschedule_seconds = 0.0;
   int max_attempts = 8;

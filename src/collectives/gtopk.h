@@ -13,12 +13,19 @@
 // power of two <= P and rem = P - q, the rem extra ranks first fold their
 // selections into ranks 0..rem-1 (one merge round), the q-rank hypercube
 // runs the recursive doubling, and a final unfold round sends the result
-// back to the extra ranks.  `rounds` counts every exchange round:
-// log2(q) + 2 when rem > 0, log2(P) otherwise.
+// back to the extra ranks.  Every exchange round closes one report phase
+// ("fold", "hypercube" per doubling round, "unfold"): log2(q) + 2 phases
+// when rem > 0, log2(P) otherwise.
 //
-// Like the other collectives, the timed exchange is a recorded transfer
-// schedule (collectives/schedule.h); the merges accumulate into pooled
-// workspace buffers (digests and clocks pinned in
+// gTop-k is a recorded schedule like every other collective
+// (collectives/schedule.h): build_gtopk records each round's sends, and
+// the functional work — the local selection with its error-feedback apply
+// and absorb, the per-round merges, and the final scatter into the rank
+// buffers — as callable data-pass steps (Schedule::call).  Callers run it
+// as any schedule: run_timing or run_timing_abortable under their job,
+// then run_data.  An aborted replay never reaches run_data, so it touches
+// neither the buffers nor the residuals, and an elastic retry starts from
+// the caller's inputs (digests and clocks pinned in
 // schedule_equivalence_test).
 #pragma once
 
@@ -37,33 +44,21 @@ struct GtopkOptions {
   // mode); keys are "<ef_key_prefix>:<rank>".
   compress::ErrorFeedback* error_feedback = nullptr;
   std::string ef_key_prefix = "gtopk";
-  uint64_t seed = 42;
-  // Tenant the timed replay's flows are submitted under (see
-  // Schedule::run_timing): on a shared cluster they share ports with other
-  // jobs' reservations and are counted in this job's byte totals.
-  int job = simnet::kDefaultJob;
-  // Abortable mode: when set, the timed replay runs through
-  // Schedule::run_timing_abortable against the cluster's FaultPlan and the
-  // outcome lands here.  On an abort the functional merges and the final
-  // scatter are skipped entirely, so every data[rank] keeps the gradient it
-  // handed in (EF-primed if error feedback is on — the local selection and
-  // EF exchange had already happened on the worker, exactly as on a real
-  // machine) and an elastic retry on the surviving world starts from clean
-  // inputs.
-  ScheduleOutcome* outcome = nullptr;
 };
 
-struct GtopkResult {
-  double total = 0.0;
-  size_t rounds = 0;
-  size_t final_nnz = 0;
-};
-
-// In-place global top-k aggregation over the whole cluster (any world
+// Records global top-k aggregation over the whole of `topo` (any world
 // size; non-powers-of-two pay one fold and one unfold round).  Functional
-// mode: each data[rank] (full d elements) is replaced by the identical
-// global top-k of the sum.  Timing-only mode: data empty.
-GtopkResult gtopk_comm(simnet::Cluster& cluster, const RankData& data,
+// mode: run_data replaces each data[rank] (full d elements) with the
+// identical global top-k of the sum.  Timing-only mode: data empty, and
+// no callable steps are recorded.  The recorded steps hold `data` and
+// options.error_feedback by reference: both must outlive the schedule's
+// last run_data.
+void build_gtopk(Schedule& sched, const simnet::Topology& topo,
+                 const RankData& data, size_t elems,
+                 const GtopkOptions& options);
+
+// build_gtopk, then Schedule::run on `cluster` from `start`.
+PhaseReport gtopk_comm(simnet::Cluster& cluster, const RankData& data,
                        size_t elems, const GtopkOptions& options, double start);
 
 }  // namespace hitopk::coll

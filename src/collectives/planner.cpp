@@ -13,10 +13,30 @@
 #include "collectives/hier_allreduce.h"
 #include "collectives/ring.h"
 #include "collectives/torus2d.h"
+#include "collectives/tree_allreduce.h"
 #include "collectives/validator.h"
 
 namespace hitopk::coll {
 namespace {
+
+// Cap on BlueConnect stage factorizations scored per plan; the pruning
+// keeps the hierarchy-aligned splits ({gpus, nodes}, the pod-aligned
+// three-stage split, then balanced divisor splits of the node count
+// nearest sqrt(nodes)).
+constexpr int kMaxBlueConnectCandidates = 6;
+
+// Densities below this gate gTop-k into the candidate set; at or above it
+// the message is dense and only exact-sum candidates run.
+constexpr double kDenseDensity = 0.5;
+
+// Statically validates a recorded candidate (ConfigError on a broken
+// invariant); full coverage is the exact All-Reduce's "no partials left".
+void validate(const Schedule& sched, int world_size, bool full_coverage) {
+  ValidatorOptions vopts;
+  vopts.world_size = world_size;
+  vopts.require_full_coverage = full_coverage;
+  ScheduleValidator(vopts).validate(sched);
+}
 
 // FNV-1a over the group membership (order matters: a ring over a permuted
 // group is a different plan).
@@ -39,17 +59,17 @@ int size_bucket(size_t elems) {
 
 // Dense requests share bucket 0; sparse densities bucket at half-decade
 // grain (0.01 and 0.02 share a plan; 0.01 and 0.001 do not).
-int density_bucket(double density, double dense_density) {
-  if (density >= dense_density) return 0;
+int density_bucket(double density) {
+  if (density >= kDenseDensity) return 0;
   return static_cast<int>(std::floor(std::log10(density) * 2.0));
 }
 
 std::string cache_key(const simnet::Topology& topo, const Group& group,
-                      size_t elems, double density, double dense_density) {
+                      size_t elems, double density) {
   return std::to_string(topo.fingerprint()) + ":" +
          std::to_string(group_hash(group)) + ":" +
          std::to_string(size_bucket(elems)) + ":" +
-         std::to_string(density_bucket(density, dense_density));
+         std::to_string(density_bucket(density));
 }
 
 std::string factors_name(const std::vector<int>& factors) {
@@ -69,17 +89,6 @@ bool is_world_order(const simnet::Topology& topo, const Group& group) {
     if (group[i] != static_cast<int>(i)) return false;
   }
   return true;
-}
-
-// The gTop-k candidate's options: the requested density, values on the
-// planner's wire, flows under the planned-for job.
-GtopkOptions gtopk_options(double density, WireDtype wire,
-                           int job = simnet::kDefaultJob) {
-  GtopkOptions gopts;
-  gopts.density = density;
-  gopts.value_wire_bytes = wire_elem_bytes(wire);
-  gopts.job = job;
-  return gopts;
 }
 
 // Reindexes group-position data into ring-order position data.
@@ -111,63 +120,37 @@ const char* plan_algorithm_name(PlanAlgorithm algorithm) {
   return "unknown";
 }
 
-Planner::Planner(PlannerOptions options) : options_(std::move(options)) {
-  HITOPK_VALIDATE(options_.dense_density > 0.0)
-      << "dense_density must be positive";
-}
-
 std::vector<Planner::Candidate> Planner::enumerate(
     const simnet::Topology& topo, const Group& group, bool full_world,
     double density) const {
-  const WireDtype w = options_.wire;
   std::vector<Candidate> cands;
   // The flat ring is always candidate 0: it is the baseline the planner
   // must never lose to, and scoring keeps ties on the earliest candidate.
-  cands.push_back({PlanAlgorithm::kFlatRing, "ring", {}, group, true, w});
+  cands.push_back({PlanAlgorithm::kFlatRing, "ring", {}, group, true});
 
   const Group sorted = locality_sorted_group(topo, group);
   if (sorted != group) {
     cands.push_back(
-        {PlanAlgorithm::kReorderedRing, "ring+podsort", {}, sorted, true, w});
+        {PlanAlgorithm::kReorderedRing, "ring+podsort", {}, sorted, true});
   }
-  cands.push_back({PlanAlgorithm::kHalvingDoubling, "hd", {}, group, true, w});
+  cands.push_back({PlanAlgorithm::kHalvingDoubling, "hd", {}, group, true});
   if (sorted != group) {
     cands.push_back(
-        {PlanAlgorithm::kHalvingDoubling, "hd+podsort", {}, sorted, true, w});
+        {PlanAlgorithm::kHalvingDoubling, "hd+podsort", {}, sorted, true});
   }
-  // Quantization axis: score a "+fp16" twin of every exact-sum candidate
-  // enumerated so far (and below, via the append at the end).  Twins halve
-  // the wire bytes and drop the exact-sum mark.
-  auto append_fp16_twins = [&](size_t from) {
-    if (!options_.quantized_candidates || w != WireDtype::kFp32) return;
-    const size_t upto = cands.size();
-    for (size_t i = from; i < upto; ++i) {
-      if (!cands[i].exact_sum) continue;
-      Candidate q = cands[i];
-      q.name += "+fp16";
-      q.exact_sum = false;
-      q.wire = WireDtype::kFp16;
-      cands.push_back(std::move(q));
-    }
-  };
-  if (!full_world) {
-    append_fp16_twins(0);
-    return cands;
-  }
+  if (!full_world) return cands;
 
   // Whole-world hierarchical candidates.
   const int m = topo.nodes();
   const int n = topo.uniform() ? topo.gpus_per_node() : 0;
   if (topo.uniform() && topo.world_size() > 1) {
-    cands.push_back(
-        {PlanAlgorithm::kTreeAllReduce, "tree", {}, group, true, w});
+    cands.push_back({PlanAlgorithm::kTreeAllReduce, "tree", {}, group, true});
   }
   if (m > 1) {
-    cands.push_back(
-        {PlanAlgorithm::kHierAllReduce, "hier", {}, group, true, w});
+    cands.push_back({PlanAlgorithm::kHierAllReduce, "hier", {}, group, true});
   }
   if (topo.uniform() && m > 1 && n > 1) {
-    cands.push_back({PlanAlgorithm::kTorus2d, "torus2d", {}, group, true, w});
+    cands.push_back({PlanAlgorithm::kTorus2d, "torus2d", {}, group, true});
   }
   if (topo.uniform() && topo.world_size() > 1) {
     // BlueConnect stage factorizations, pruned to the hierarchy-aligned
@@ -178,8 +161,7 @@ std::vector<Planner::Candidate> Planner::enumerate(
     std::set<std::vector<int>> seen;
     std::vector<std::vector<int>> splits;
     auto add = [&](std::vector<int> f) {
-      if (static_cast<int>(splits.size()) >= options_.max_blueconnect_candidates)
-        return;
+      if (static_cast<int>(splits.size()) >= kMaxBlueConnectCandidates) return;
       for (int s : f) {
         if (s < 2) return;
       }
@@ -204,68 +186,68 @@ std::vector<Planner::Candidate> Planner::enumerate(
     }
     for (std::vector<int>& f : splits) {
       cands.push_back({PlanAlgorithm::kBlueConnect, factors_name(f),
-                       std::move(f), group, true, w});
+                       std::move(f), group, true});
     }
   }
-  if (density < options_.dense_density && topo.world_size() > 1) {
-    cands.push_back({PlanAlgorithm::kGtopk, "gtopk", {}, group, false, w});
+  if (density < kDenseDensity && topo.world_size() > 1) {
+    cands.push_back({PlanAlgorithm::kGtopk, "gtopk", {}, group, false});
   }
-  append_fp16_twins(0);
   return cands;
 }
 
-bool Planner::build_candidate(Schedule& sched, const simnet::Topology& topo,
+void Planner::build_candidate(Schedule& sched, const simnet::Topology& topo,
                               const Candidate& cand, const Group& group,
-                              const RankData& data, size_t elems) const {
-  const WireDtype wire = cand.wire;
+                              const RankData& data, size_t elems,
+                              double density) const {
+  const WireDtype wire = options_.wire;
   switch (cand.algorithm) {
     case PlanAlgorithm::kFlatRing:
-    case PlanAlgorithm::kReorderedRing: {
-      // Record-for-record the ring_allreduce engine sequence, over the
-      // candidate's membership order.
-      std::vector<Group> groups{cand.ring_order};
-      std::vector<RankData> group_data{
-          permute_data(group, cand.ring_order, data)};
-      const RingGrid grid = ring_grid(sched, groups, group_data, wire);
-      build_ring_reduce_scatter(sched, groups, grid, elems, wire,
-                                /*fused_chains=*/true);
-      sched.sync(/*collapse=*/true, "reduce_scatter");
-      build_ring_allgather(sched, groups, grid, elems, wire);
-      return true;
-    }
+    case PlanAlgorithm::kReorderedRing:
+      // ring_allreduce's schedule over the candidate's membership order.
+      build_ring_allreduce(sched, cand.ring_order,
+                           permute_data(group, cand.ring_order, data), elems,
+                           wire);
+      return;
     case PlanAlgorithm::kHalvingDoubling:
       build_halving_doubling(sched, cand.ring_order,
                              permute_data(group, cand.ring_order, data), elems,
                              wire);
-      return true;
+      return;
     case PlanAlgorithm::kTreeAllReduce: {
-      TreeOptions tree = options_.tree;
+      TreeOptions tree;
       tree.wire = wire;
       build_tree_allreduce(sched, topo, data, elems, tree);
-      return true;
+      return;
     }
     case PlanAlgorithm::kHierAllReduce:
       build_hier_allreduce(sched, topo, data, elems, wire);
-      return true;
+      return;
     case PlanAlgorithm::kTorus2d:
       build_torus2d(sched, topo, data, elems, wire);
-      return true;
+      return;
     case PlanAlgorithm::kBlueConnect: {
       BlueConnectOptions bc;
       bc.factors = cand.factors;
       bc.wire = wire;
       build_blueconnect(sched, topo, data, elems, bc);
-      return true;
+      return;
     }
-    case PlanAlgorithm::kGtopk:
-      return false;  // not a transfer schedule; scored through gtopk_comm
+    case PlanAlgorithm::kGtopk: {
+      GtopkOptions gt;
+      gt.density = density;
+      gt.value_wire_bytes = wire_elem_bytes(wire);
+      build_gtopk(sched, topo, data, elems, gt);
+      return;
+    }
   }
-  return false;
 }
 
 double Planner::score(const simnet::Cluster& base, const Candidate& cand,
                       const Group& group, size_t elems, double density,
                       int job, double start) const {
+  Schedule sched;
+  build_candidate(sched, base.topology(), cand, group, {}, elems, density);
+  validate(sched, base.world_size(), /*full_coverage=*/false);
   // What-if replay on a copy of the base cluster's reservation state: the
   // score is the candidate's duration amid the traffic other tenants
   // already hold (none on a fresh base).  Scoring must never observe
@@ -273,18 +255,6 @@ double Planner::score(const simnet::Cluster& base, const Candidate& cand,
   // drops the plan.
   simnet::Cluster replica = base;
   replica.set_fault_plan(nullptr);
-  if (cand.algorithm == PlanAlgorithm::kGtopk) {
-    return gtopk_comm(replica, {}, elems,
-                      gtopk_options(density, options_.wire, job), start)
-        .total;
-  }
-  Schedule sched;
-  build_candidate(sched, base.topology(), cand, group, {}, elems);
-  if (options_.validate) {
-    ValidatorOptions vopts;
-    vopts.world_size = base.world_size();
-    ScheduleValidator(vopts).validate(sched);
-  }
   return sched.run_timing(replica, start, job).finish - start;
 }
 
@@ -319,7 +289,6 @@ PlanChoice Planner::plan_group(const simnet::Cluster& cluster,
     choice.candidates_scored = scored;
     choice.cache_hit = hit;
     choice.exact_sum = winner.exact_sum;
-    choice.wire = winner.wire;
   };
   auto score_at = [&](const Candidate& cand) {
     return score(cluster, cand, group, elems, density, job, start);
@@ -332,15 +301,14 @@ PlanChoice Planner::plan_group(const simnet::Cluster& cluster,
   const bool cacheable = cluster.idle() && start == 0.0;
   std::string key;
   if (cacheable) {
-    key = cache_key(topo, group, elems, density, options_.dense_density);
+    key = cache_key(topo, group, elems, density);
     if (auto it = cache_.find(key); it != cache_.end()) {
       ++cache_hits_;
       // The cache remembers the winning *configuration* for this bucket, but
       // the never-lose guarantee must hold at the requested size, not the
       // size that populated the bucket — so re-score the cached winner
       // against the flat ring here and take the min.
-      const Candidate ring{PlanAlgorithm::kFlatRing, "ring", {}, group, true,
-                           options_.wire};
+      const Candidate ring{PlanAlgorithm::kFlatRing, "ring", {}, group, true};
       const double ring_t = score_at(ring);
       const Candidate& cached = it->second;
       if (cached.algorithm == PlanAlgorithm::kFlatRing &&
@@ -406,25 +374,14 @@ double Planner::execute(simnet::Cluster& cluster, const Group& group,
   if (group.size() <= 1) return start;
 
   const PlanChoice choice = plan_group(topo, group, elems, density);
-  if (choice.algorithm == PlanAlgorithm::kGtopk) {
-    return start + gtopk_comm(cluster, data, elems,
-                              gtopk_options(density, options_.wire), start)
-                       .total;
-  }
-
   // The executed schedule is record-for-record the scored one (the builders
   // record identical sends with or without functional data), so on a fresh
   // cluster with start == 0 the finish below equals predicted_seconds.
   const Candidate cand{choice.algorithm, choice.name, choice.factors,
-                       choice.ring_order, choice.exact_sum, choice.wire};
+                       choice.ring_order, choice.exact_sum};
   Schedule sched;
-  build_candidate(sched, topo, cand, group, data, elems);
-  if (options_.validate) {
-    ValidatorOptions vopts;
-    vopts.world_size = topo.world_size();
-    vopts.require_full_coverage = true;  // exact All-Reduce: no partials left
-    ScheduleValidator(vopts).validate(sched);
-  }
+  build_candidate(sched, topo, cand, group, data, elems, density);
+  validate(sched, topo.world_size(), /*full_coverage=*/choice.exact_sum);
   return sched.run(cluster, start).finish;
 }
 

@@ -13,11 +13,12 @@
 //      baseline the planner must never lose to), pod-aware reordered rings,
 //      double-binary tree, hierarchical leader All-Reduce, 2D-torus,
 //      BlueConnect stage factorizations (mixed-radix enumeration pruned to
-//      the hierarchy-aligned splits), the recursive halving-doubling
+//      at most six hierarchy-aligned splits), the recursive halving-doubling
 //      builder for the latency-bound small-message regime, and gTop-k for
-//      sparse densities;
-//   2. statically validates every schedule-backed candidate
-//      (collectives/validator.h) — a candidate that breaks a schedule
+//      densities below 0.5;
+//   2. records every candidate with its builder (gTop-k included: it is a
+//      schedule whose merges are data-pass steps) and statically validates
+//      it (collectives/validator.h) — a candidate that breaks a schedule
 //      invariant is a bug, not a slow choice, and must never be scored;
 //   3. scores each candidate by replaying its schedule against a fresh
 //      Cluster from t = 0 and keeps the earliest finisher (ties keep the
@@ -31,11 +32,11 @@
 //
 // Scoring is O(candidates * schedule size) with no functional data; a
 // 128-rank plan costs well under a millisecond.  execute() then rebuilds
-// the winner as a functional schedule, validates it again with full chunk
-// coverage, and runs the timing + data passes — the executed schedule is
-// record-for-record the scored one, so on a fresh cluster the executed
-// finish equals the predicted finish exactly (the planner fuzz harness
-// pins this).
+// the winner as a functional schedule, validates it again (with full chunk
+// coverage for the exact-sum plans), and runs the timing + data passes —
+// the executed schedule is record-for-record the scored one, so on a fresh
+// cluster the executed finish equals the predicted finish exactly (the
+// planner fuzz harness pins this).
 //
 // Not thread-safe: one Planner per planning thread (the cache is a plain
 // map).
@@ -47,7 +48,6 @@
 
 #include "collectives/common.h"
 #include "collectives/schedule.h"
-#include "collectives/tree_allreduce.h"
 
 namespace hitopk::coll {
 
@@ -68,26 +68,6 @@ struct PlannerOptions {
   // Wire dtype every candidate's transfers travel in (typed payloads,
   // compress/wire_codec.h).  fp32 keeps plans exact-sum.
   WireDtype wire = WireDtype::kFp32;
-  // Quantization axis: when true (and `wire` is fp32), every exact-sum
-  // candidate is additionally scored as a "+fp16" variant that halves the
-  // wire bytes.  fp16 variants are marked exact_sum = false (the result is
-  // rounded at shard boundaries), so callers that require the bitwise
-  // All-Reduce can filter on PlanChoice::exact_sum.  The flat fp32 ring
-  // remains candidate 0, so the never-lose guarantee is unchanged.
-  bool quantized_candidates = false;
-  // Cap on BlueConnect stage factorizations scored per plan; the pruning
-  // heuristic keeps the hierarchy-aligned splits ({gpus, nodes}, the
-  // pod-aligned three-stage split, then balanced divisor splits of the node
-  // count nearest sqrt(nodes)).
-  int max_blueconnect_candidates = 6;
-  // Densities below this gate gTop-k into the candidate set; at or above
-  // it the message is considered dense and only exact-sum candidates run.
-  double dense_density = 0.5;
-  // Statically validate every schedule-backed candidate before scoring and
-  // the winner (with full chunk coverage) before execution.
-  bool validate = true;
-  // Chunk pipelining for the tree candidate.
-  TreeOptions tree;
 };
 
 struct PlanChoice {
@@ -102,9 +82,6 @@ struct PlanChoice {
   double flat_ring_seconds = 0.0;
   int candidates_scored = 0;
   bool cache_hit = false;
-  // Wire dtype of the winning schedule (PlannerOptions::wire, or kFp16 when
-  // a quantized variant won the score).
-  WireDtype wire = WireDtype::kFp32;
   // False only for the gTop-k plan, whose result is the shared global
   // top-k *approximation* of the sum; every other plan is an exact-sum
   // All-Reduce, bitwise-comparable against the flat-ring oracle on inputs
@@ -119,7 +96,7 @@ struct PlanChoice {
 
 class Planner {
  public:
-  explicit Planner(PlannerOptions options = {});
+  explicit Planner(PlannerOptions options = {}) : options_(options) {}
 
   // Plans an All-Reduce over the full world in rank order.
   PlanChoice plan(const simnet::Topology& topo, size_t elems,
@@ -176,17 +153,17 @@ class Planner {
     std::vector<int> factors;
     Group ring_order;
     bool exact_sum = true;
-    WireDtype wire = WireDtype::kFp32;
   };
 
   std::vector<Candidate> enumerate(const simnet::Topology& topo,
                                    const Group& group, bool full_world,
                                    double density) const;
-  // Records the candidate's schedule; returns false for the non-schedule
-  // gTop-k candidate (scored and executed through gtopk_comm).
-  bool build_candidate(Schedule& sched, const simnet::Topology& topo,
+  // Records the candidate's schedule on the planner's wire (gTop-k keeps
+  // density * elems entries per merge).
+  void build_candidate(Schedule& sched, const simnet::Topology& topo,
                        const Candidate& cand, const Group& group,
-                       const RankData& data, size_t elems) const;
+                       const RankData& data, size_t elems,
+                       double density) const;
   // Duration of the candidate replayed from `start` under `job` on a copy
   // of `base` with its fault plan dropped.
   double score(const simnet::Cluster& base, const Candidate& cand,

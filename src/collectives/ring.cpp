@@ -154,6 +154,20 @@ void build_ring_allgather(Schedule& sched, const std::vector<Group>& groups,
                        std::vector<ChunkRange>(grid.nq, {0, elems}), wire);
 }
 
+void build_ring_allreduce(Schedule& sched, const Group& group,
+                          const RankData& data, size_t elems, WireDtype wire) {
+  if (group.size() <= 1) return;
+  const std::vector<Group> groups{group};
+  const RingGrid grid = ring_grid(sched, groups, single_data(data), wire);
+  build_ring_reduce_scatter(sched, groups, grid, elems, wire,
+                            /*fused_chains=*/true);
+  // The gather starts for everyone at the RS completion maximum, then
+  // reuses the reduce-scatter result in place (owner chunks feed the
+  // resolved copies).
+  sched.sync(/*collapse=*/true, "reduce_scatter");
+  build_ring_allgather(sched, groups, grid, elems, wire);
+}
+
 void build_ring_allgather_bytes(
     Schedule& sched, const std::vector<Group>& groups, const RingGrid& grid,
     const std::vector<std::vector<size_t>>& payload_bytes,
@@ -206,17 +220,8 @@ double ring_allreduce(simnet::Cluster& cluster, const Group& group,
                       double start) {
   check_data(group, data, elems);
   if (group.size() <= 1) return start;
-  std::vector<Group> groups{group};
-  std::vector<RankData> group_data = single_data(data);
   Schedule sched;
-  const RingGrid grid = ring_grid(sched, groups, group_data, wire);
-  build_ring_reduce_scatter(sched, groups, grid, elems, wire,
-                            /*fused_chains=*/true);
-  // The gather starts for everyone at the RS completion maximum, then
-  // reuses the reduce-scatter result in place (owner chunks feed the
-  // resolved copies).
-  sched.sync(/*collapse=*/true, "reduce_scatter");
-  build_ring_allgather(sched, groups, grid, elems, wire);
+  build_ring_allreduce(sched, group, data, elems, wire);
   return sched.run(cluster, start).finish;
 }
 

@@ -114,6 +114,14 @@ void build_ring_reduce_scatter(Schedule& sched,
 void build_ring_allgather(Schedule& sched, const std::vector<Group>& groups,
                           const RingGrid& grid, size_t elems, WireDtype wire);
 
+// The whole ring All-Reduce as ring_allreduce runs it: the fused-chain
+// Reduce-Scatter, a collapse sync closing the "reduce_scatter" phase, then
+// the resolved All-Gather, which reuses the owner chunks in place.  data is
+// indexed by group position and may be empty (timing only); a group of one
+// records nothing.
+void build_ring_allreduce(Schedule& sched, const Group& group,
+                          const RankData& data, size_t elems, WireDtype wire);
+
 // Variable-payload All-Gather leg (timing only; sparse payload data
 // movement is tracked by the caller).
 void build_ring_allgather_bytes(

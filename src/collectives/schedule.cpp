@@ -90,6 +90,10 @@ void Schedule::sync(bool collapse, const char* phase) {
   syncs_.push_back({step_, collapse, phase});
 }
 
+void Schedule::call(std::function<void()> fn) {
+  calls_.push_back({step_, std::move(fn)});
+}
+
 ScheduleOutcome Schedule::run_timing_abortable(simnet::Cluster& cluster,
                                                double start, int job) const {
   ScheduleOutcome out;
@@ -175,18 +179,24 @@ PhaseReport Schedule::run_timing(simnet::Cluster& cluster, double start,
 }
 
 void Schedule::run_data() const {
-  if (buffers_.empty() || moves_.empty()) return;
+  if (moves_.empty() && calls_.empty()) return;
   // Per step: group moves by bucket key (destination buffer by default).
   // Buckets write disjoint (buffer, range) sets, so they run concurrently;
   // a bucket's moves apply in recorded order, so reductions into one
-  // buffer keep the recorded float-add order.
+  // buffer keep the recorded float-add order.  The step's callables run
+  // after its moves, serially in record order.
   Scratch<uint32_t> bucket_of_buf(buffers_.size());
   auto bucket_of = bucket_of_buf.span();
   const uint32_t kNone = UINT32_MAX;
   std::vector<std::vector<uint32_t>> buckets;  // move indices, issue order
   size_t i = 0;
-  while (i < moves_.size()) {
-    const uint32_t step = moves_[i].step;
+  size_t c = 0;
+  while (i < moves_.size() || c < calls_.size()) {
+    const uint32_t step =
+        i < moves_.size() &&
+                (c == calls_.size() || moves_[i].step <= calls_[c].step)
+            ? moves_[i].step
+            : calls_[c].step;
     size_t end = i;
     while (end < moves_.size() && moves_[end].step == step) ++end;
     std::fill(bucket_of.begin(), bucket_of.end(), kNone);
@@ -294,6 +304,7 @@ void Schedule::run_data() const {
         }
       }
     });
+    for (; c < calls_.size() && calls_[c].step == step; ++c) calls_[c].fn();
     i = end;
   }
 }

@@ -46,6 +46,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string_view>
 #include <vector>
 
@@ -223,6 +224,14 @@ class Schedule {
   // final phase without changing any clock.
   void sync(bool collapse, const char* phase);
 
+  // Records a callable data-pass step at the current step: run_data invokes
+  // it once per run, after that step's moves, in record order with the
+  // step's other callables.  The timing passes never invoke it, so an
+  // aborted replay leaves whatever it would touch untouched.  For work
+  // that is not a range move (gTop-k's sparse selection and merges); the
+  // validator cannot see inside it.
+  void call(std::function<void()> fn);
+
   // ---- execution ------------------------------------------------------
   // Fault-aware serial timing replay via Cluster::submit.  Does not touch
   // data buffers.  `job` is the tenant context the recorded sends are
@@ -242,7 +251,8 @@ class Schedule {
   PhaseReport run_timing(simnet::Cluster& cluster, double start,
                          int job = simnet::kDefaultJob) const;
 
-  // Functional data pass (no clocks).  No-op for timing-only schedules.
+  // Functional data pass (no clocks): per step, the moves, then the
+  // callables.  No-op for timing-only schedules.
   void run_data() const;
 
   // Both passes of a fault-free call: run_timing, then run_data.
@@ -252,7 +262,9 @@ class Schedule {
     return report;
   }
 
-  bool empty() const { return sends_.empty() && moves_.empty(); }
+  bool empty() const {
+    return sends_.empty() && moves_.empty() && calls_.empty();
+  }
   size_t num_sends() const { return sends_.size(); }
   size_t num_moves() const { return moves_.size(); }
 
@@ -272,6 +284,11 @@ class Schedule {
   std::vector<Send> sends_;
   std::vector<Move> moves_;
   std::vector<Sync> syncs_;
+  struct Call {
+    uint32_t step;
+    std::function<void()> fn;
+  };
+  std::vector<Call> calls_;
 };
 
 }  // namespace hitopk::coll

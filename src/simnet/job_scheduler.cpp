@@ -290,11 +290,25 @@ std::vector<JobRecord> JobScheduler::run(const std::vector<JobSpec>& jobs,
 // ---- trace generation & replay --------------------------------------------
 
 std::vector<JobSpec> generate_trace(const TraceOptions& options) {
-  HITOPK_CHECK(!options.gang_sizes.empty());
-  HITOPK_CHECK(options.gang_weights.empty() ||
-               options.gang_weights.size() == options.gang_sizes.size());
-  HITOPK_CHECK(options.min_iterations >= 1 &&
-               options.max_iterations >= options.min_iterations);
+  HITOPK_VALIDATE(options.jobs >= 0) << "jobs" << options.jobs;
+  HITOPK_VALIDATE(std::isfinite(options.mean_interarrival_seconds) &&
+                  options.mean_interarrival_seconds >= 0.0)
+      << "mean_interarrival_seconds" << options.mean_interarrival_seconds;
+  HITOPK_VALIDATE(!options.gang_sizes.empty()) << "no gang sizes";
+  for (int gpus : options.gang_sizes) {
+    HITOPK_VALIDATE(gpus > 0) << "gang size" << gpus;
+  }
+  HITOPK_VALIDATE(options.gang_weights.empty() ||
+                  options.gang_weights.size() == options.gang_sizes.size())
+      << options.gang_weights.size() << "gang weights for"
+      << options.gang_sizes.size() << "gang sizes";
+  for (double w : options.gang_weights) {
+    HITOPK_VALIDATE(std::isfinite(w) && w >= 0.0) << "gang weight" << w;
+  }
+  HITOPK_VALIDATE(options.min_iterations >= 1 &&
+                  options.max_iterations >= options.min_iterations)
+      << "iterations [" << options.min_iterations << ","
+      << options.max_iterations << "]";
   Rng rng(options.seed);
   double total_weight = 0.0;
   for (double w : options.gang_weights) total_weight += w;

@@ -147,7 +147,10 @@ class JobScheduler {
 // seed: gang sizes draw from `gang_sizes` with `gang_weights` (uniform when
 // weights are empty), iteration counts uniform in [min_iterations,
 // max_iterations], inter-arrival gaps exponential with mean
-// `mean_interarrival_seconds`.
+// `mean_interarrival_seconds`.  Throws ConfigError for negative jobs, a
+// negative or non-finite mean gap, no gang sizes or a non-positive one,
+// weights that do not match the sizes or are negative, and an empty
+// iteration range.
 struct TraceOptions {
   int jobs = 120;
   double mean_interarrival_seconds = 0.05;

@@ -63,7 +63,9 @@ class Topology {
   // nic_beta: seconds/byte of a node NIC's aggregate capacity; <= 0 means
   // "same as the per-flow rate" (the NIC fully serializes transfers).
   // oversubscription: fat-tree oversubscription factor f >= 1 (see above);
-  // nodes_per_pod: edge-pod size, 0 = single switch layer.
+  // nodes_per_pod: edge-pod size, 0 = single switch layer.  Throws
+  // ConfigError for no nodes, a node without GPUs, f < 1 or a negative
+  // pod size (the presets below included).
   Topology(int nodes, int gpus_per_node, LinkParams intra, LinkParams inter,
            double nic_beta = 0.0, double oversubscription = 1.0,
            int nodes_per_pod = 0);

@@ -36,14 +36,9 @@ simnet::JobBody make_tenant_body(const TenantWorkload& workload) {
     const size_t elems = (spec.bytes + 3) / 4;
     coll::Schedule& sched = state->schedules[{ranks, spec.bytes}];
     if (sched.empty()) {
-      const coll::Group group =
-          coll::locality_sorted_group(cluster.topology(), ranks);
-      const std::vector<coll::Group> groups{group};
-      const coll::RingGrid grid = coll::ring_grid(sched, groups, {}, w.wire);
-      coll::build_ring_reduce_scatter(sched, groups, grid, elems, w.wire,
-                                      /*fused_chains=*/true);
-      sched.sync(/*collapse=*/true, "reduce_scatter");
-      coll::build_ring_allgather(sched, groups, grid, elems, w.wire);
+      coll::build_ring_allreduce(
+          sched, coll::locality_sorted_group(cluster.topology(), ranks), {},
+          elems, w.wire);
     }
     const coll::ScheduleOutcome out =
         sched.run_timing_abortable(cluster, compute, spec.id);

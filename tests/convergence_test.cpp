@@ -263,6 +263,33 @@ TEST(Convergence, DenseCnnEngineDigestIsFrozen) {
   EXPECT_EQ(digest, 0xf5a0c2a0f3701641ull) << std::hex << "0x" << digest << "ull";
 }
 
+TEST(Convergence, GtopkEngineDigestIsFrozen) {
+  // gTopK-SGD with error feedback on a 3x2 world: six ranks run the
+  // fold, two hypercube rounds and the unfold, and every step applies and
+  // absorbs the per-rank residuals.  The digest was captured while the
+  // local selection and the merges ran outside the recorded schedule, so
+  // it pins them bit for bit now that they are data-pass steps.
+  auto task = make_vision_task(47);
+  ConvergenceOptions options;
+  options.algorithm = ConvergenceAlgorithm::kGtopk;
+  options.nodes = 3;
+  options.gpus_per_node = 2;
+  options.local_batch = 16;
+  options.density = 0.05;
+  options.use_error_feedback = true;
+  options.warmup_epochs = 0;
+  options.epochs = 1;
+  options.seed = 47;
+  ConvergenceEngine engine(*task, options);
+  engine.begin_epoch();
+  for (int i = 0; i < 4; ++i) engine.step();
+  const auto params = task->params();
+  const uint64_t digest =
+      fnv1a64({reinterpret_cast<const uint8_t*>(params.data()),
+               params.size() * sizeof(float)});
+  EXPECT_EQ(digest, 0xa85292facce6afe0ull) << std::hex << "0x" << digest << "ull";
+}
+
 TEST(Convergence, CurveHasOneEntryPerEpoch) {
   auto task = make_vision_task(29);
   const auto result =

@@ -69,8 +69,7 @@ TEST(Gtopk, ResultHasAtMostKNonzeros) {
     if (grads[0][i] != 0.0f) ++nnz;
   }
   EXPECT_LE(nnz, 40u);
-  EXPECT_EQ(result.final_nnz, nnz);
-  EXPECT_EQ(result.rounds, 2u);  // log2(4)
+  EXPECT_EQ(result.phases.size(), 2u);  // log2(4) hypercube rounds
 }
 
 TEST(Gtopk, SingleSharedSpikeSurvivesAllMerges) {
@@ -96,7 +95,8 @@ TEST(Gtopk, SingleSharedSpikeSurvivesAllMerges) {
 
 // Non-power-of-two worlds fold the extra ranks into the hypercube (one
 // pre-fold round), run recursive doubling over the largest power of two,
-// and unfold the result back out — rounds = log2(q) + 2.
+// and unfold the result back out — log2(q) + 2 rounds, one report phase
+// each.
 TEST(Gtopk, NonPowerOfTwoWorldsFoldAndConverge) {
   struct Shape {
     int nodes, gpus;
@@ -123,7 +123,7 @@ TEST(Gtopk, NonPowerOfTwoWorldsFoldAndConverge) {
     GtopkOptions options;
     options.density = 0.05;
     const auto result = gtopk_comm(cluster, spans, elems, options, 0.0);
-    EXPECT_EQ(result.rounds, shape.expected_rounds);
+    EXPECT_EQ(result.phases.size(), shape.expected_rounds);
     EXPECT_GT(result.total, 0.0);
     // Every rank — including the folded extras — holds the identical set.
     const size_t k = static_cast<size_t>(0.05 * 300 + 0.5);
@@ -148,8 +148,8 @@ TEST(Gtopk, NonPowerOfTwoTimingAddsFoldRounds) {
   const auto r12 = gtopk_comm(c12, {}, 1 << 20, options, 0.0);
   Cluster c8(fabric(2, 4));
   const auto r8 = gtopk_comm(c8, {}, 1 << 20, options, 0.0);
-  EXPECT_EQ(r12.rounds, 5u);  // q=8: fold + 3 + unfold
-  EXPECT_EQ(r8.rounds, 3u);   // exact power of two: no fold
+  EXPECT_EQ(r12.phases.size(), 5u);  // q=8: fold + 3 + unfold
+  EXPECT_EQ(r8.phases.size(), 3u);  // exact power of two: no fold
   EXPECT_GT(r12.total, r8.total);
 }
 
@@ -161,8 +161,8 @@ TEST(Gtopk, TimingScalesLogarithmically) {
   const auto r16 = gtopk_comm(c16, {}, 1 << 20, options, 0.0);
   Cluster c64(fabric(8, 8));
   const auto r64 = gtopk_comm(c64, {}, 1 << 20, options, 0.0);
-  EXPECT_EQ(r16.rounds, 4u);
-  EXPECT_EQ(r64.rounds, 6u);
+  EXPECT_EQ(r16.phases.size(), 4u);
+  EXPECT_EQ(r64.phases.size(), 6u);
   EXPECT_LT(r64.total, 3.0 * r16.total);
 }
 

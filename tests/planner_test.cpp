@@ -317,11 +317,13 @@ Cluster loaded_by_job3() {
   return cluster;
 }
 
-GtopkOptions gtopk_under(int job, double density) {
+// gTop-k's schedule at `density`, timing only.
+Schedule gtopk_schedule(const Topology& topo, size_t elems, double density) {
   GtopkOptions options;
   options.density = density;
-  options.job = job;
-  return options;
+  Schedule sched;
+  build_gtopk(sched, topo, {}, elems, options);
+  return sched;
 }
 
 TEST(GtopkJob, FlowsLandOnTheCallersJob) {
@@ -329,7 +331,8 @@ TEST(GtopkJob, FlowsLandOnTheCallersJob) {
   const size_t job0_inter = cluster.inter_node_bytes(0);
   const size_t job0_intra = cluster.intra_node_bytes(0);
   const size_t total_inter = cluster.inter_node_bytes();
-  gtopk_comm(cluster, {}, 1 << 20, gtopk_under(5, 0.01), 0.0);
+  gtopk_schedule(cluster.topology(), 1 << 20, 0.01)
+      .run_timing(cluster, 0.0, /*job=*/5);
   EXPECT_GT(cluster.inter_node_bytes(5), 0u);
   EXPECT_EQ(cluster.inter_node_bytes(5),
             cluster.inter_node_bytes() - total_inter);
@@ -338,8 +341,8 @@ TEST(GtopkJob, FlowsLandOnTheCallersJob) {
 }
 
 TEST(Planner, GtopkScoreReplaysUnderTheCallersJob) {
-  // The planner's gTop-k score for job j is a gtopk_comm replay under job j
-  // on a copy of the same loaded cluster.  Job 3 queues behind its own
+  // The planner's gTop-k score for job j is a build_gtopk replay under job
+  // j on a copy of the same loaded cluster.  Job 3 queues behind its own
   // reservations while job 7 shares the ports with them, so the two
   // scores differ.
   const Cluster loaded = loaded_by_job3();
@@ -352,9 +355,9 @@ TEST(Planner, GtopkScoreReplaysUnderTheCallersJob) {
     const PlanChoice choice = planner.plan(loaded, elems, density, jobs[i]);
     ASSERT_EQ(choice.algorithm, PlanAlgorithm::kGtopk) << choice.name;
     Cluster replica = loaded;
-    const double direct =
-        gtopk_comm(replica, {}, elems, gtopk_under(jobs[i], density), 0.0)
-            .total;
+    const double direct = gtopk_schedule(loaded.topology(), elems, density)
+                              .run_timing(replica, 0.0, jobs[i])
+                              .total;
     EXPECT_EQ(choice.predicted_seconds, direct) << "job " << jobs[i];
     scored[i] = choice.predicted_seconds;
   }

@@ -719,8 +719,12 @@ TEST_P(GtopkEquivalenceTest, TwoCallsWithErrorFeedback) {
   const auto [first_t, second_t] = run({}, nullptr);
   expect_clock(first_t.total, frozen.first, "gtopk first timing-only");
   expect_clock(second_t.total, frozen.second, "gtopk second timing-only");
-  EXPECT_EQ(first.rounds, first_t.rounds);
-  EXPECT_EQ(second.final_nnz, second_t.final_nnz);
+  // One phase per exchange round, the same with and without data.
+  ASSERT_EQ(first.phases.size(), first_t.phases.size());
+  for (size_t i = 0; i < first.phases.size(); ++i) {
+    EXPECT_STREQ(first.phases[i].label, first_t.phases[i].label);
+    EXPECT_EQ(first.phases[i].seconds, first_t.phases[i].seconds);
+  }
 }
 
 // Power-of-two (2x2, 2x4), folded worlds (3x1, 3x2, 3x4), an uneven ragged
@@ -747,7 +751,12 @@ TEST(GtopkEquivalence, UnevenNodeTopology) {
   };
   std::vector<Tensor> buffers = random_buffers(topo.world_size(), elems, 44);
   const auto s = run(spans_of(buffers));
-  EXPECT_EQ(s.rounds, 4u);  // q = 4: fold + 2 + unfold
+  // q = 4: fold + 2 hypercube rounds + unfold.
+  ASSERT_EQ(s.phases.size(), 4u);
+  EXPECT_STREQ(s.phases[0].label, "fold");
+  EXPECT_STREQ(s.phases[1].label, "hypercube");
+  EXPECT_STREQ(s.phases[2].label, "hypercube");
+  EXPECT_STREQ(s.phases[3].label, "unfold");
   expect_digest(buffers, 0x6481d64c6d250d25, "gtopk uneven");
   expect_clock(s.total, 3.3624000000009868e-05, "gtopk uneven");
   expect_clock(run({}).total, 3.3624000000009868e-05,
@@ -1024,6 +1033,54 @@ TEST(Schedule, DataPassKeepsPerDestinationOrder) {
   EXPECT_EQ(dst[0], 1.0f);
 }
 
+TEST(Schedule, CallableStepsRunAfterTheirStepsMovesInRecordOrder) {
+  const Topology topo = fabric(1, 2);
+  Tensor a(1), b(1);
+  a[0] = 1.0f;
+  b[0] = 0.0f;
+  Schedule sched;
+  const uint32_t slots = sched.add_slots(2);
+  const uint32_t ba = sched.add_buffer(a.span());
+  const uint32_t bb = sched.add_buffer(b.span());
+  // Each callable logs its id and what it sees in b.
+  std::vector<std::pair<int, float>> log;
+  auto logger = [&](int id) {
+    return [&log, &b, id] { log.push_back({id, b[0]}); };
+  };
+  sched.send(0, 1, 1000, slots, slots + 1);
+  sched.call(logger(0));  // recorded before the step's move, runs after it
+  sched.copy(ba, bb, 0, 1);
+  sched.call(logger(1));
+  sched.end_step();
+  sched.send(1, 0, 1000, slots + 1, slots);
+  sched.reduce(ba, bb, 0, 1);
+  sched.call(logger(2));
+  sched.end_step();
+  sched.call(logger(3));  // a step with neither sends nor moves
+  EXPECT_FALSE(sched.empty());
+
+  // The timing passes never run a callable, completed or aborted.
+  Cluster cluster(topo);
+  sched.run_timing(cluster, 0.0);
+  simnet::FaultPlan plan;
+  plan.preempt(1, 0.0);
+  Cluster faulty(topo);
+  faulty.set_fault_plan(&plan);
+  EXPECT_TRUE(sched.run_timing_abortable(faulty, 0.0).aborted());
+  EXPECT_TRUE(log.empty());
+
+  const std::vector<std::pair<int, float>> once{
+      {0, 1.0f}, {1, 1.0f}, {2, 2.0f}, {3, 2.0f}};
+  sched.run_data();
+  EXPECT_EQ(log, once);
+  // Once per run_data: a second pass replays the moves and the callables.
+  b[0] = 0.0f;
+  sched.run_data();
+  std::vector<std::pair<int, float>> twice = once;
+  twice.insert(twice.end(), once.begin(), once.end());
+  EXPECT_EQ(log, twice);
+}
+
 // --------------------------------------------------- elastic fault rescale
 // The acceptance sweep: a preemption injected at *every* step index of the
 // replayed schedule must never crash — it surfaces as a structured abort,
@@ -1038,8 +1095,8 @@ constexpr int kDeadRank = 1;
 constexpr int kGridPoints = 120;
 
 // Fresh-run oracle at the surviving world, mirroring the elastic layer's
-// per-algorithm rebuild (ring builders; BlueConnect with re-derived
-// factors; gTop-k fold/unfold).
+// per-algorithm rebuild (ring; BlueConnect with re-derived factors;
+// gTop-k).
 void run_fresh(ElasticAlgorithm algorithm, const Topology& topo,
                const RankData& data, size_t elems) {
   Cluster cluster(topo);
@@ -1154,17 +1211,14 @@ void sweep(ElasticAlgorithm algorithm, const Topology& topo, size_t elems,
             << "survivor (old rank " << old_rank
             << ") differs from the fresh shrunk-world run at t=" << t;
       }
-      // The dead rank's buffer is untouched by the retry.
+      // The dead rank's buffer is untouched: the aborted attempt never
+      // ran its data pass, and the retry does not include the rank.
       std::vector<Tensor> inputs =
           random_buffers(world, elems, 500 + static_cast<uint64_t>(i));
       const auto dead = static_cast<size_t>(kDeadRank);
-      if (algorithm != ElasticAlgorithm::kGtopk) {
-        // (gTop-k primes inputs in-place before the schedule runs, so only
-        // the dense All-Reduce paths keep the dead buffer bit-pristine.)
-        ASSERT_EQ(std::memcmp(buffers[dead].data(), inputs[dead].data(),
-                              elems * sizeof(float)),
-                  0);
-      }
+      ASSERT_EQ(std::memcmp(buffers[dead].data(), inputs[dead].data(),
+                            elems * sizeof(float)),
+                0);
     } else {
       // The preemption landed after the last send started: the full-world
       // attempt completed before anyone observed the failure.
@@ -1210,13 +1264,74 @@ TEST(ElasticRescale, BlueConnectEveryStepIndex) {
 }
 
 TEST(ElasticRescale, GtopkEveryStepIndex) {
-  // p = 6 folds to q = 4: fold + 2 exchange rounds + unfold.  gTop-k's
-  // step-0 sends start after the local compression compute, so even step 0
-  // is killable mid-schedule here.
+  // p = 6 folds to q = 4: fold + 2 exchange rounds + unfold.  The two fold
+  // sends leave node 2 through one NIC, so the second starts after the
+  // first and even step 0 is killable mid-schedule here.
   std::vector<int> steps;
   sweep(ElasticAlgorithm::kGtopk, fabric(3, 2), 64, &steps);
   expect_gapless(steps, 0, static_cast<int>(steps.size()) - 1);
   EXPECT_GE(steps.size(), 3u);
+}
+
+TEST(ElasticRescale, GtopkAbortLeavesErrorFeedbackUntouched) {
+  // 3x2 fabric, EF residuals warmed by one full-world call, then rank 5
+  // dies just after the next call starts: attempt 1 aborts and the retry
+  // runs on the five survivors.  The aborted attempt must touch neither
+  // the buffers nor the residuals, so the survivors end exactly where a
+  // fresh five-rank call from the same residuals ends.
+  const Topology topo = fabric(3, 2);
+  const int world = topo.world_size();
+  const size_t elems = 64;
+  const int dead = 5;
+  GtopkOptions gtopk;
+  gtopk.density = 0.05;
+
+  compress::ErrorFeedback ef;
+  {
+    std::vector<Tensor> warm = random_buffers(world, elems, 700);
+    Cluster cluster(topo);
+    gtopk.error_feedback = &ef;
+    gtopk_comm(cluster, spans_of(warm), elems, gtopk, 0.0);
+  }
+  compress::ErrorFeedback fresh_ef = ef;
+
+  ElasticOptions options;
+  options.algorithm = ElasticAlgorithm::kGtopk;
+  options.gtopk = gtopk;
+  options.gtopk.error_feedback = &ef;
+  options.reschedule_seconds = 0.5;
+  simnet::FaultPlan plan;
+  plan.preempt(dead, 1e-9);
+  std::vector<Tensor> buffers = random_buffers(world, elems, 701);
+  const auto result =
+      elastic_allreduce(topo, plan, spans_of(buffers), elems, options, 0.0);
+  ASSERT_TRUE(result.completed);
+  ASSERT_EQ(result.attempts.size(), 2u);
+  ASSERT_TRUE(result.attempts.front().outcome.aborted());
+  ASSERT_EQ(result.surviving_world, world - 1);
+
+  const SurvivorWorld survivor = shrink_topology(topo, {dead});
+  std::vector<Tensor> fresh = random_buffers(world, elems, 701);
+  RankData fresh_data;
+  for (const int old_rank : survivor.old_rank) {
+    fresh_data.push_back(fresh[static_cast<size_t>(old_rank)].span());
+  }
+  Cluster cluster(survivor.topology);
+  gtopk.error_feedback = &fresh_ef;
+  gtopk_comm(cluster, fresh_data, elems, gtopk, 0.0);
+  for (const int old_rank : survivor.old_rank) {
+    const auto r = static_cast<size_t>(old_rank);
+    EXPECT_EQ(std::memcmp(buffers[r].data(), fresh[r].data(),
+                          elems * sizeof(float)),
+              0)
+        << "survivor (old rank " << old_rank << ")";
+  }
+  EXPECT_EQ(ef.residual_sq_norm(), fresh_ef.residual_sq_norm());
+  const auto d = static_cast<size_t>(dead);
+  EXPECT_EQ(std::memcmp(buffers[d].data(), fresh[d].data(),
+                        elems * sizeof(float)),
+            0)
+      << "the dead rank's buffer";
 }
 
 TEST(ElasticRescale, SecondPreemptionShrinksTwice) {
@@ -1438,15 +1553,9 @@ class JobIdInvarianceTest
 TEST_P(JobIdInvarianceTest, SingleJobClocksIndependentOfJobId) {
   const auto [m, n, elems] = GetParam();
   const Topology topo = fabric(m, n);
-  const Group world = world_group(topo);
-  std::vector<Group> groups{world};
-
   Schedule sched;
-  const RingGrid grid = ring_grid(sched, groups, {});
-  build_ring_reduce_scatter(sched, groups, grid, elems, coll::WireDtype::kFp32,
-                            /*fused_chains=*/true);
-  sched.sync(/*collapse=*/true, "reduce_scatter");
-  build_ring_allgather(sched, groups, grid, elems, coll::WireDtype::kFp32);
+  build_ring_allreduce(sched, world_group(topo), {}, elems,
+                       coll::WireDtype::kFp32);
 
   Cluster as_default(topo);
   Cluster as_tenant(topo);

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "collectives/blueconnect.h"
+#include "collectives/gtopk.h"
 #include "collectives/halving_doubling.h"
 #include "collectives/hier_allreduce.h"
 #include "collectives/ring.h"
@@ -362,14 +363,8 @@ TEST_P(BuilderValidationTest, AllBuildersPass) {
 
   {  // flat ring All-Reduce (the planner's baseline candidate)
     Schedule sched;
-    std::vector<Group> groups{world};
-    std::vector<RankData> group_data{data};
-    const RingGrid grid = ring_grid(sched, groups, group_data);
-    build_ring_reduce_scatter(sched, groups, grid, elems, WireDtype::kFp32,
-                              /*fused_chains=*/true);
-    sched.sync(/*collapse=*/true, "reduce_scatter");
-    build_ring_allgather(sched, groups, grid, elems, WireDtype::kFp32);
-    // A single-rank "All-Reduce" records no moves, so its buffer is
+    build_ring_allreduce(sched, world, data, elems, WireDtype::kFp32);
+    // A single-rank "All-Reduce" records nothing, so its buffer is
     // legitimately never written; coverage only binds real exchanges.
     expect_valid(sched, topo, /*full_coverage=*/topo.world_size() > 1);
   }
@@ -408,6 +403,14 @@ TEST_P(BuilderValidationTest, AllBuildersPass) {
     BlueConnectOptions bc;
     build_blueconnect(sched, topo, data, elems, bc);
     expect_valid(sched, topo, /*full_coverage=*/true);
+  }
+  {  // gTop-k: the sends are audited, the callable merge steps are not,
+     // and the sparse result makes no coverage claim
+    Schedule sched;
+    GtopkOptions gt;
+    gt.density = 0.1;
+    build_gtopk(sched, topo, data, elems, gt);
+    expect_valid(sched, topo, /*full_coverage=*/false);
   }
 }
 
@@ -450,13 +453,7 @@ TEST(BuilderValidation, QuantizedBuildersPass) {
   for (const WireDtype wire : {WireDtype::kFp16, WireDtype::kInt8}) {
     {
       Schedule sched;
-      std::vector<Group> groups{world};
-      std::vector<RankData> group_data{data};
-      const RingGrid grid = ring_grid(sched, groups, group_data, wire);
-      build_ring_reduce_scatter(sched, groups, grid, elems, wire,
-                                /*fused_chains=*/true);
-      sched.sync(/*collapse=*/true, "reduce_scatter");
-      build_ring_allgather(sched, groups, grid, elems, wire);
+      build_ring_allreduce(sched, world, data, elems, wire);
       expect_valid(sched, topo, /*full_coverage=*/true);
     }
     {

@@ -2,8 +2,14 @@
 // costs, port serialization, and the shared-NIC contention model.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <functional>
+#include <utility>
+#include <vector>
+
 #include "core/check.h"
 #include "simnet/cluster.h"
+#include "simnet/job_scheduler.h"
 #include "simnet/topology.h"
 
 namespace hitopk::simnet {
@@ -25,6 +31,59 @@ TEST(Topology, RankMapping) {
   EXPECT_EQ(t.rank_of(1, 0), 2);
   EXPECT_TRUE(t.same_node(0, 1));
   EXPECT_FALSE(t.same_node(1, 2));
+}
+
+// Hostile input to the public topology constructors and the trace
+// generator: every case throws the recoverable ConfigError, never a
+// CheckError or a standard-library exception.
+TEST(HostileInput, TopologyAndTraceOptionsThrowConfigError) {
+  const LinkParams link{1e-6, 1e-9};
+  const TraceOptions ok;
+  auto trace = [&](auto mutate) {
+    return [&ok, mutate] {
+      TraceOptions options = ok;
+      mutate(options);
+      generate_trace(options);
+    };
+  };
+  const std::vector<std::pair<const char*, std::function<void()>>> cases = {
+      {"tencent_cloud(0, 8)", [] { Topology::tencent_cloud(0, 8); }},
+      {"tencent_cloud(4, -1)", [] { Topology::tencent_cloud(4, -1); }},
+      {"no nodes", [&] { Topology(std::vector<int>{}, link, link); }},
+      {"node without GPUs", [&] { Topology({2, 0}, link, link); }},
+      {"oversubscription 0.5", [&] { Topology(2, 2, link, link, 0.0, 0.5); }},
+      {"nodes_per_pod -1", [&] { Topology(2, 2, link, link, 0.0, 1.0, -1); }},
+      {"jobs -5", trace([](TraceOptions& o) { o.jobs = -5; })},
+      {"mean gap -1",
+       trace([](TraceOptions& o) { o.mean_interarrival_seconds = -1.0; })},
+      {"mean gap NaN",
+       trace([](TraceOptions& o) { o.mean_interarrival_seconds = NAN; })},
+      {"empty gang_sizes", trace([](TraceOptions& o) { o.gang_sizes = {}; })},
+      {"gang size 0", trace([](TraceOptions& o) { o.gang_sizes = {4, 0}; })},
+      {"mismatched gang_weights",
+       trace([](TraceOptions& o) { o.gang_weights = {1.0}; })},
+      {"negative gang weight",
+       trace([](TraceOptions& o) { o.gang_weights = {1, -1, 1, 1}; })},
+      {"min > max iterations", trace([](TraceOptions& o) {
+         o.min_iterations = 5;
+         o.max_iterations = 3;
+       })},
+      {"zero iterations", trace([](TraceOptions& o) {
+         o.min_iterations = 0;
+       })},
+  };
+  for (const auto& [name, fn] : cases) {
+    SCOPED_TRACE(name);
+    EXPECT_THROW(fn(), ConfigError);
+  }
+  // The defaults and the edges of the valid range still work.
+  EXPECT_EQ(generate_trace(ok).size(), 120u);
+  TraceOptions edge = ok;
+  edge.jobs = 0;
+  EXPECT_TRUE(generate_trace(edge).empty());
+  edge.jobs = 3;
+  edge.mean_interarrival_seconds = 0.0;
+  for (const JobSpec& spec : generate_trace(edge)) EXPECT_EQ(spec.arrival, 0.0);
 }
 
 TEST(Topology, LinkSelection) {

@@ -216,14 +216,7 @@ TEST(Fp16HalvesBytes, RecordedSendBytesHalve) {
   const size_t elems = 1024;
   auto record = [&](WireDtype wire) {
     coll::Schedule sched;
-    std::vector<Group> groups{world};
-    std::vector<RankData> group_data{{}};
-    const coll::RingGrid grid =
-        coll::ring_grid(sched, groups, group_data, wire);
-    coll::build_ring_reduce_scatter(sched, groups, grid, elems, wire,
-                                    /*fused_chains=*/true);
-    sched.sync(/*collapse=*/true, "reduce_scatter");
-    coll::build_ring_allgather(sched, groups, grid, elems, wire);
+    coll::build_ring_allreduce(sched, world, {}, elems, wire);
     return sched;
   };
   const coll::Schedule a = record(WireDtype::kFp32);
